@@ -52,7 +52,7 @@ for name in ("L1", "T1", "R2", "A3"):
 banner("closed simple paths and Condition (K)")
 for name in ("L1", "R2", "C2", "T1"):
     g = NAMED[name]()
-    counts = {v: simple_closed_path_count(g, v, 2) for v in g.vertices}
+    counts = {v: simple_closed_path_count(g, v) for v in g.vertices}
     ok, witness = condition_K(g)
     print(f"{name}: closed-simple-path counts {counts}; Condition (K): {ok}"
           + (f" (witness {witness})" if witness else ""))

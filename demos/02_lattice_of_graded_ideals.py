@@ -11,8 +11,6 @@ from leavitt import (
     enumerate_pairs,
     hereditary_saturated_closure,
     normalize_generators,
-    pair_join,
-    pair_meet,
     quotient,
 )
 from leavitt.catalog import NAMED
@@ -51,9 +49,9 @@ for p in lat.pairs:
     print(" ", p.label())
 a_u = AdmissiblePair.of({"a"}, {"u"})
 ab = AdmissiblePair.of({"a", "b"}, ())
-print("meet of ({a},{u}) and ({a,b},{}):", pair_meet(lat, a_u, ab).label())
+print("meet of ({a},{u}) and ({a,b},{}):", lat.meet(a_u, ab).label())
 print("join of ({a},{}) and ({b},{}):  ",
-      pair_join(lat, AdmissiblePair.of({"a"}, ()), AdmissiblePair.of({"b"}, ())).label())
+      lat.join(AdmissiblePair.of({"a"}, ()), AdmissiblePair.of({"b"}, ())).label())
 
 banner("quotient graphs")
 q = quotient(T1, AdmissiblePair.of({"w"}, ()))

@@ -45,8 +45,6 @@ from .lattice import (
     enumerate_pairs,
     hereditary_saturated_closure,
     normalize_generators,
-    pair_join,
-    pair_meet,
     quotient,
     top_pair,
 )

@@ -128,7 +128,7 @@ class Cycle:
 class Graph:
     """Immutable directed multigraph over string vertex identifiers."""
 
-    __slots__ = ("vertices", "bundles", "_out", "_in", "_reach")
+    __slots__ = ("vertices", "bundles", "_out", "_in", "_reach", "_breaking")
 
     def __init__(self, vertices: Iterable[str], bundles: Mapping[Tuple[str, str], Multiplicity]):
         vs = list(vertices)
@@ -156,6 +156,7 @@ class Graph:
         self._out = out
         self._in = inc
         self._reach = {}
+        self._breaking = {}  # hereditary saturated set -> its breaking vertices
 
     def __contains__(self, v: str) -> bool:
         return v in self._out
@@ -322,52 +323,26 @@ def condition_L(g: Graph) -> ConditionReport:
     return ConditionReport(True, None)
 
 
-def _scc_of(g: Graph, v: str) -> frozenset:
-    return frozenset(u for u in reachable_from(g, v) if reaches(g, u, v))
+def simple_closed_path_count(g: Graph, v: str) -> int:
+    """Number of closed simple paths based at v, counted up to 2.
 
-
-def simple_closed_path_count(g: Graph, v: str, cap: int = 2) -> int:
-    """Number of closed simple paths based at v, counted up to ``cap``.
-
-    A closed simple path may revisit other vertices but not its base.  A
-    bundle of multiplicity m contributes m distinct edges per traversal, and
-    an OMEGA bundle immediately saturates the cap.  The search walks bundle
-    sequences inside the strongly connected component of v, each bundle used
-    at most ``cap`` times per path; skipping repeated sub-loops shows that a
-    path needing more than ``cap`` uses of a bundle cannot be among the first
-    ``cap`` distinct witnesses, so the returned value is ``min(count, cap)``.
+    A closed simple path may revisit other vertices but not its base, and
+    stays in the strongly connected component C of v.  If a vertex of C has
+    two edges into C (two bundles, or multiplicity above 1), a shortest path
+    from v to it, either edge and a shortest path back give two such paths.
+    Otherwise C is one cycle (one path) or v alone without a loop (none).
     """
-    if cap < 2:
-        raise ValueError("cap must be >= 2")
-    g._check(v)
-    comp = _scc_of(g, v)
-    count = 0
-    usage = {}
-
-    def weight(m: Multiplicity) -> int:
-        return cap if not is_finite(m) else min(m, cap)
-
-    def dfs(u: str, prod: int):
-        nonlocal count
-        if count >= cap:
-            return
-        for w, m in g.out_bundles(u):
-            if count >= cap:
-                return
-            if w == v:
-                count += prod * weight(m)
-                continue
-            if w not in comp:
-                continue
-            b = (u, w)
-            if usage.get(b, 0) >= cap:
-                continue
-            usage[b] = usage.get(b, 0) + 1
-            dfs(w, prod * weight(m))
-            usage[b] -= 1
-
-    dfs(v, 1)
-    return min(count, cap)
+    ahead = reachable_from(g, v)
+    comp, stack = {v}, [v]
+    while stack:
+        for u, _ in g.in_bundles(stack.pop()):
+            if u in ahead and u not in comp:
+                comp.add(u)
+                stack.append(u)
+    inside = [sum((m for w, m in g.out_bundles(u) if w in comp), 0) for u in comp]
+    if inside == [0]:
+        return 0
+    return 1 if all(m == 1 for m in inside) else 2
 
 
 def condition_K(g: Graph) -> ConditionReport:
@@ -377,6 +352,6 @@ def condition_K(g: Graph) -> ConditionReport:
     exactly one closed simple path.
     """
     for v in g.vertices:
-        if simple_closed_path_count(g, v, 2) == 1:
+        if simple_closed_path_count(g, v) == 1:
             return ConditionReport(False, v)
     return ConditionReport(True, None)

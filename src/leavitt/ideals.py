@@ -31,6 +31,7 @@ from .lattice import (
     admissible_pair,
     bottom_pair,
     breaking_vertices,
+    closed_form_meet,
     quotient,
     top_pair,
 )
@@ -167,17 +168,6 @@ def contains(g: Graph, I: IdealRep, J: IdealRep) -> bool:
     return True
 
 
-def _meet_pairs(g: Graph, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-    # closed-form meet; admissibility and lower-bound property re-checked here,
-    # full agreement with the lattice search is enforced by the oracle suite
-    H = a.h_set & b.h_set
-    S = ((a.s_set | a.h_set) & (b.s_set | b.h_set)) & breaking_vertices(g, H)
-    out = admissible_pair(g, H, S)
-    if not (out.le(a) and out.le(b)):
-        raise InternalInconsistencyError(f"meet of {a} and {b} is not a lower bound")
-    return out
-
-
 def intersect(g: Graph, I: IdealRep, J: IdealRep) -> IdealRep:
     """Intersection, in the supported configurations.
 
@@ -188,7 +178,7 @@ def intersect(g: Graph, I: IdealRep, J: IdealRep) -> IdealRep:
     """
     _check_fields(I, J)
     if I.is_graded and J.is_graded:
-        return rep(_meet_pairs(g, I.graded, J.graded))
+        return rep(closed_form_meet(g, I.graded, J.graded))
     if I.graded == J.graded:
         ci, cj = I.component_map(), J.component_map()
         comps = {c: poly_lcm(ci[c], cj[c]) for c in set(ci) & set(cj)}
@@ -214,7 +204,7 @@ def product(g: Graph, I: IdealRep, J: IdealRep) -> IdealRep:
     """
     _check_fields(I, J)
     if I.is_graded and J.is_graded:
-        return rep(_meet_pairs(g, I.graded, J.graded))
+        return rep(closed_form_meet(g, I.graded, J.graded))
     if I.graded == J.graded:
         ci, cj = I.component_map(), J.component_map()
         comps = {c: ci[c] * cj[c] for c in set(ci) & set(cj)}
@@ -271,27 +261,18 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
     """Meet-primeness of every lattice element, with directedness cross-checks.
 
     An element I is meet-prime when meet(A, B) <= I forces A <= I or B <= I.
-    Two facts are verified for every proper element: a prime quotient vertex
-    set must be downward directed, and a full-S pair over a downward directed
-    complement must be prime.  Any disagreement aborts.
+    The lattice is distributive, so a proper element is meet-prime exactly
+    when it has one upper cover; the top is vacuously meet-prime.  Two facts
+    are verified for every element: a prime quotient vertex set must be
+    downward directed, and a full-S pair over a downward directed complement
+    must be prime.  Any disagreement aborts.
     """
     cached = lattice.cache.get("prime_flags")
     if cached is not None:
         return cached
-    n = len(lattice)
-    low, up = lattice._low, lattice._up
-    not_prime = 0
-    for i in range(n):
-        for j in range(i, n):
-            m = lattice._extremum(i, j, low, lattice._lowpop, lattice._meet, "meet")
-            not_prime |= up[m] & ~up[i] & ~up[j]
     flags = {}
-    top = lattice.top
-    for i, p in enumerate(lattice.pairs):
-        meet_prime = not (not_prime >> i & 1)
-        if p == top:
-            flags[p] = meet_prime
-            continue
+    for p in lattice.pairs:
+        meet_prime = p == lattice.top or len(lattice.upper_covers(p)) == 1
         q = quotient(g, p)
         dd = downward_directed(q.graph, q.graph.vertices).holds
         if meet_prime and not dd:
@@ -306,16 +287,6 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
         flags[p] = meet_prime
     lattice.cache["prime_flags"] = flags
     return flags
-
-
-def _meet_violation_witness(g: Graph, lattice: PairLattice, pair: AdmissiblePair):
-    for a in lattice.pairs:
-        for b in lattice.pairs:
-            if a > b:
-                continue
-            if lattice.meet(a, b).le(pair) and not a.le(pair) and not b.le(pair):
-                return (a, b)
-    raise InternalInconsistencyError(f"no meet violation found for non-prime {pair}")
 
 
 def is_prime(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeWitness:
@@ -336,9 +307,13 @@ def is_prime(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeWitness:
             raise IdealError(f"{pair} is not in the supplied lattice")
         if flags[pair]:
             return PrimeWitness(True)
-        return PrimeWitness(
-            False, "lattice-meet-violation", _meet_violation_witness(g, lattice, pair)
-        )
+        # two upper covers of a non-prime pair meet in it, and neither lies below it
+        a, b = lattice.upper_covers(pair)[:2]
+        if lattice.meet(a, b) != pair:
+            raise InternalInconsistencyError(
+                f"the upper covers {a} and {b} of {pair} do not meet in it"
+            )
+        return PrimeWitness(False, "lattice-meet-violation", (a, b))
     if len(I.components) > 1:
         split = tuple(IdealRep(I.graded, (cp,)) for cp in I.components)
         return PrimeWitness(False, "proper-factorization-witness", split)

@@ -4,8 +4,8 @@ An admissible pair ``(H, S)`` is a hereditary saturated vertex set H together
 with a set S of breaking vertices of H; it names the graded ideal generated
 by H and the elements ``v - sum(e e* : s(e)=v, r(e) not in H)`` for v in S.
 The pairs are ordered by ``(H1,S1) <= (H2,S2) iff H1 <= H2 and S1 <= H2|S2``
-and form a finite lattice, computed here by exhaustive enumeration with
-meets and joins found by bounded search over the enumerated order.
+and form a finite distributive lattice, enumerated here exhaustively, with
+meets and joins from closed forms and the order read through upper covers.
 """
 
 from __future__ import annotations
@@ -24,17 +24,15 @@ def is_hereditary(g: Graph, H: Iterable[str]) -> bool:
     return all(w in hset for v in hset for w in g.successors(v))
 
 
+def _forced(g: Graph, H, v: str) -> bool:
+    """Whether v is a regular vertex all of whose edges end in H."""
+    obs = g.out_bundles(v)
+    return bool(obs) and all(w in H and is_finite(m) for w, m in obs)
+
+
 def is_saturated(g: Graph, H: Iterable[str]) -> bool:
     hset = frozenset(H)
-    for v in g.vertices:
-        if v in hset:
-            continue
-        total = g.total_out(v)
-        if total == 0 or not is_finite(total):
-            continue
-        if all(w in hset for w in g.successors(v)):
-            return False
-    return True
+    return not any(_forced(g, hset, v) for v in g.vertices if v not in hset)
 
 
 def hereditary_saturated_closure(g: Graph, X: Iterable[str]) -> VertexSet:
@@ -58,12 +56,7 @@ def hereditary_saturated_closure(g: Graph, X: Iterable[str]) -> VertexSet:
                     H.add(w)
                     stack.append(w)
         for v in g.vertices:
-            if v in H:
-                continue
-            total = g.total_out(v)
-            if total == 0 or not is_finite(total):
-                continue
-            if all(w in H for w in g.successors(v)):
+            if v not in H and _forced(g, H, v):
                 H.add(v)
                 changed = True
     return frozenset(H)
@@ -101,8 +94,14 @@ def enumerate_hs(g: Graph) -> List[VertexSet]:
 
 
 def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
-    """Infinite emitters outside H with finitely many (>=1) edges into E0\\H."""
+    """Infinite emitters outside H with finitely many (>=1) edges into E0\\H.
+
+    Memoized on the graph per hereditary saturated set.
+    """
     hset = frozenset(H)
+    hit = g._breaking.get(hset)
+    if hit is not None:
+        return hit
     if not is_hereditary(g, hset) or not is_saturated(g, hset):
         raise LatticeError(f"{sorted(hset)} is not hereditary saturated")
     result = set()
@@ -114,7 +113,8 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
         into_complement = sum((m for w, m in g.out_bundles(v) if w not in hset), 0)
         if is_finite(into_complement) and into_complement > 0:
             result.add(v)
-    return frozenset(result)
+    hit = g._breaking[hset] = frozenset(result)
+    return hit
 
 
 @dataclass(frozen=True, order=True)
@@ -173,30 +173,19 @@ def _subsets(items: Tuple[str, ...]):
 class PairLattice:
     """The finite lattice of all admissible pairs of a graph.
 
-    Meets and joins are computed lattice-theoretically: the greatest lower
-    (least upper) bound is searched for within the enumerated order and its
-    defining property is verified; a missing bound raises
-    :class:`InternalInconsistencyError`.
+    Graded ideals multiply as they intersect, so the lattice is distributive.
+    Meets and joins are closed forms (:func:`closed_form_meet` and
+    :func:`normalize_generators`), and the order is read through upper
+    covers; all three are memoized per lattice.
     """
 
     def __init__(self, graph: Graph, pairs: List[AdmissiblePair]):
         self.graph = graph
         self.pairs = tuple(sorted(pairs))
         self._index = {p: i for i, p in enumerate(self.pairs)}
-        n = len(self.pairs)
-        low = [0] * n
-        up = [0] * n
-        for i, p in enumerate(self.pairs):
-            for j, q in enumerate(self.pairs):
-                if q.le(p):
-                    low[i] |= 1 << j
-                    up[j] |= 1 << i
-        self._low = low
-        self._up = up
-        self._lowpop = [m.bit_count() for m in low]
-        self._uppop = [m.bit_count() for m in up]
-        self._meet: Dict[Tuple[int, int], int] = {}
-        self._join: Dict[Tuple[int, int], int] = {}
+        self._meet: Dict[Tuple[int, int], AdmissiblePair] = {}
+        self._join: Dict[Tuple[int, int], AdmissiblePair] = {}
+        self._covers: Dict[AdmissiblePair, Tuple[AdmissiblePair, ...]] = {}
         self.cache: Dict[str, object] = {}
 
     def __len__(self):
@@ -216,46 +205,36 @@ class PairLattice:
     def top(self) -> AdmissiblePair:
         return top_pair(self.graph)
 
+    @property
+    def hs_sets(self) -> List[VertexSet]:
+        """The hereditary saturated sets in :func:`enumerate_hs` order: the H of each (H, {})."""
+        return [p.h_set for p in self.pairs if not p.s]
+
     def index(self, p: AdmissiblePair) -> int:
         try:
             return self._index[p]
         except KeyError:
             raise LatticeError(f"{p} is not an admissible pair of this graph") from None
 
-    def le(self, a: AdmissiblePair, b: AdmissiblePair) -> bool:
-        return bool(self._low[self.index(b)] >> self.index(a) & 1)
-
     def proper(self) -> List[AdmissiblePair]:
         t = self.top
         return [p for p in self.pairs if p != t]
 
-    def _extremum(self, i: int, j: int, low, lowpop, table, kind: str) -> int:
+    def _memo(self, table, a: AdmissiblePair, b: AdmissiblePair, compute) -> AdmissiblePair:
+        i, j = self.index(a), self.index(b)
         key = (i, j) if i <= j else (j, i)
-        hit = table.get(key)
-        if hit is not None:
-            return hit
-        cand = low[i] & low[j]
-        best, bestpop = -1, -1
-        m = cand
-        while m:
-            k = (m & -m).bit_length() - 1
-            m &= m - 1
-            if lowpop[k] > bestpop:
-                best, bestpop = k, lowpop[k]
-        if best < 0 or low[best] != cand:
-            raise InternalInconsistencyError(
-                f"admissible pairs have no {kind} for {self.pairs[i]} and {self.pairs[j]}"
-            )
-        table[key] = best
-        return best
+        if key not in table:
+            table[key] = self.pairs[self.index(compute())]
+        return table[key]
 
     def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        i = self._extremum(self.index(a), self.index(b), self._low, self._lowpop, self._meet, "meet")
-        return self.pairs[i]
+        return self._memo(self._meet, a, b, lambda: closed_form_meet(self.graph, a, b))
 
     def join(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        i = self._extremum(self.index(a), self.index(b), self._up, self._uppop, self._join, "join")
-        return self.pairs[i]
+        return self._memo(
+            self._join, a, b,
+            lambda: normalize_generators(self.graph, a.h_set | b.h_set, a.s_set | b.s_set),
+        )
 
     def meet_all(self, items: Iterable[AdmissiblePair]) -> AdmissiblePair:
         """Meet of a family; the empty family meets to the top pair."""
@@ -264,9 +243,26 @@ class PairLattice:
             out = p if out is None else self.meet(out, p)
         return self.top if out is None else out
 
+    def upper_covers(self, p: AdmissiblePair) -> Tuple[AdmissiblePair, ...]:
+        """The pairs covering p, in lattice order.
+
+        A cover q of p is the join of p with any generator of q not below p:
+        a vertex w outside H, or a breaking vertex v of H outside S.  So the
+        covers are the minimal elements among those joins.
+        """
+        if p not in self._covers:
+            self.index(p)
+            g, H = self.graph, p.h_set
+            cands = {normalize_generators(g, H | {w}, p.s) for w in g.vertices if w not in H}
+            cands.update(
+                AdmissiblePair.of(H, p.s_set | {v}) for v in breaking_vertices(g, H) - p.s_set
+            )
+            minimal = (q for q in cands if not any(r != q and r.le(q) for r in cands))
+            self._covers[p] = tuple(sorted(minimal))
+        return self._covers[p]
+
     def covered_by_top(self, p: AdmissiblePair) -> bool:
-        i = self.index(p)
-        return self._uppop[i] == 2 and p != self.top
+        return self.upper_covers(p) == (self.top,)
 
 
 def enumerate_pairs(g: Graph) -> PairLattice:
@@ -279,23 +275,18 @@ def enumerate_pairs(g: Graph) -> PairLattice:
     return PairLattice(g, pairs)
 
 
-def pair_meet(lattice: PairLattice, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-    return lattice.meet(a, b)
-
-
-def pair_join(lattice: PairLattice, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-    return lattice.join(a, b)
-
-
 def closed_form_meet(g: Graph, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-    """Direct meet formula: H = H1 & H2, S = ((S1|H1) & (S2|H2)) & B_H.
+    """Meet of two pairs: H = H1 & H2, S = ((S1|H1) & (S2|H2)) & B_H.
 
-    Used to cross-check the lattice search; the oracle suite enforces
-    agreement on every pair of every corpus lattice.
+    Computing B_H re-checks that H is hereditary saturated, S <= B_H holds by
+    construction, and the result is checked to lie below both arguments.
     """
     H = a.h_set & b.h_set
     S = ((a.s_set | a.h_set) & (b.s_set | b.h_set)) & breaking_vertices(g, H)
-    return AdmissiblePair.of(H, S)
+    out = AdmissiblePair.of(H, S)
+    if not (out.le(a) and out.le(b)):
+        raise InternalInconsistencyError(f"meet of {a} and {b} is not a lower bound")
+    return out
 
 
 @dataclass

@@ -2,18 +2,19 @@
 
 None of these share traversal or arithmetic code paths with the modules they
 check: hereditary saturated sets are filtered definitionally over all vertex
-subsets, the single-loop graph is replayed against direct Laurent-ring ideal
-arithmetic, and the acyclic sink-powerset premise is verified rather than
-assumed.
+subsets, the pair order is searched as a full bit matrix, closed simple
+paths are counted by depth-first search, the single-loop graph is replayed
+against direct Laurent-ring ideal arithmetic, and the acyclic sink-powerset
+premise is verified rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from .errors import GraphError
-from .graphs import Graph, exitless_cycles, is_finite
+from .errors import GraphError, InternalInconsistencyError
+from .graphs import Graph, exitless_cycles, is_finite, reaches
 from .ideals import (
     IdealRep,
     contains,
@@ -27,7 +28,7 @@ from .ideals import (
     product,
     zero_ideal,
 )
-from .lattice import bottom_pair, enumerate_hs, enumerate_pairs
+from .lattice import AdmissiblePair, PairLattice, bottom_pair, enumerate_hs, enumerate_pairs
 from .laurent import LaurentPoly, divides, is_irreducible, poly_lcm, squarefree_core
 from .theorems import intersection_of_primes
 
@@ -62,6 +63,81 @@ def brute_hs(g: Graph) -> List[frozenset]:
         if saturated:
             out.append(frozenset(H))
     return sorted(out, key=lambda h: tuple(sorted(h)))
+
+
+class SearchLattice:
+    """The pair order of a lattice as an n x n bit matrix, searched.
+
+    ``low[i]`` (``up[i]``) has bit j set when pair j lies below (above) pair
+    i.  A meet is the common lower bound with the most pairs below it, and
+    must lie above every other one; joins are dual.
+    """
+
+    def __init__(self, lattice: PairLattice):
+        ps = self.pairs = lattice.pairs
+        self._index = {p: i for i, p in enumerate(ps)}
+        self._low = [sum(1 << j for j, q in enumerate(ps) if q.le(p)) for p in ps]
+        self._up = [sum(1 << j for j, q in enumerate(ps) if p.le(q)) for p in ps]
+
+    def _extremum(self, a: AdmissiblePair, b: AdmissiblePair, low: List[int], kind: str) -> int:
+        cand = low[self._index[a]] & low[self._index[b]]
+        inside = [k for k in range(len(low)) if cand >> k & 1]
+        best = max(inside, key=lambda k: low[k].bit_count(), default=-1)
+        if best < 0 or low[best] != cand:
+            raise InternalInconsistencyError(f"admissible pairs have no {kind} for {a} and {b}")
+        return best
+
+    def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
+        return self.pairs[self._extremum(a, b, self._low, "meet")]
+
+    def join(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
+        return self.pairs[self._extremum(a, b, self._up, "join")]
+
+    def upper_covers(self, p: AdmissiblePair) -> Tuple[AdmissiblePair, ...]:
+        i = self._index[p]
+        above = [k for k in range(len(self.pairs)) if k != i and self._up[i] >> k & 1]
+        return tuple(
+            self.pairs[k] for k in above if not any(m != k and self._up[m] >> k & 1 for m in above)
+        )
+
+    def prime_flags(self) -> Dict[AdmissiblePair, bool]:
+        """Meet-primeness by definition: meet(A, B) <= I forces A <= I or B <= I."""
+        not_prime = 0
+        for i, a in enumerate(self.pairs):
+            for b in self.pairs[i:]:
+                m = self._extremum(a, b, self._low, "meet")
+                not_prime |= self._up[m] & ~self._up[i] & ~self._up[self._index[b]]
+        return {p: not (not_prime >> i & 1) for i, p in enumerate(self.pairs)}
+
+
+def closed_path_count_by_search(g: Graph, v: str) -> int:
+    """Closed simple paths based at v, counted up to 2 by depth-first search.
+
+    Walks bundle sequences inside the strongly connected component of v,
+    each bundle used at most twice per path: a path needing a bundle three
+    times has a repeated sub-loop, and skipping it gives an earlier witness.
+    An OMEGA bundle counts as two parallel edges.  Exponential: it takes
+    seconds on some dense 8-vertex graphs.
+    """
+    comp = {u for u in g.vertices if reaches(g, v, u) and reaches(g, u, v)}
+    count = 0
+    usage: Dict[Tuple[str, str], int] = {}
+
+    def dfs(u: str, prod: int):
+        nonlocal count
+        for w, m in g.out_bundles(u):
+            if count >= 2:
+                return
+            weight = min(m, 2) if is_finite(m) else 2
+            if w == v:
+                count += prod * weight
+            elif w in comp and usage.get((u, w), 0) < 2:
+                usage[(u, w)] = usage.get((u, w), 0) + 1
+                dfs(w, prod * weight)
+                usage[(u, w)] -= 1
+
+    dfs(v, 1)
+    return min(count, 2)
 
 
 @dataclass

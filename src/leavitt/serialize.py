@@ -224,8 +224,6 @@ def lattice_dot(g: Graph, lattice: PairLattice) -> str:
     """DOT Hasse diagram: primes double-circled, maximal ideals filled."""
     primes = set(theorems.graded_primes(g, lattice))
     maximals = {p for p in lattice.proper() if is_maximal(g, lattice, rep(p))}
-    n = len(lattice)
-    lt = [lattice._low[i] & ~(1 << i) for i in range(n)]
     lines = ["digraph admissible_pairs {", "  rankdir=BT;", '  node [shape=ellipse];']
     for i, p in enumerate(lattice.pairs):
         attrs = [f'label="{p.label()}"']
@@ -234,20 +232,10 @@ def lattice_dot(g: Graph, lattice: PairLattice) -> str:
         if p in maximals:
             attrs.append('style=filled fillcolor=lightgray')
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    for j in range(n):
-        below = lt[j]
-        between = 0
-        m = below
-        while m:
-            k = (m & -m).bit_length() - 1
-            m &= m - 1
-            between |= lt[k]
-        covers = below & ~between
-        m = covers
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            lines.append(f"  n{i} -> n{j};")
+    edges = sorted(
+        (lattice.index(q), i) for i, p in enumerate(lattice.pairs) for q in lattice.upper_covers(p)
+    )
+    lines.extend(f"  n{i} -> n{j};" for j, i in edges)
     lines.append("}")
     return "\n".join(lines)
 

@@ -34,7 +34,6 @@ from .lattice import (
     admissible_pair,
     bottom_pair,
     breaking_vertices,
-    enumerate_hs,
     quotient,
 )
 from .laurent import QQ, LaurentPoly, factor
@@ -373,13 +372,9 @@ def everything_prime_check(g: Graph, lattice: PairLattice, fld=QQ) -> Everything
     graded ideals forming a chain.
     """
     k = condition_K(g).holds
-    n = len(lattice)
-    chain = all(
-        lattice.pairs[j].le(lattice.pairs[i]) or lattice.pairs[i].le(lattice.pairs[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    small_b = all(len(breaking_vertices(g, H)) <= 1 for H in enumerate_hs(g))
+    # a finite lattice is a chain exactly when no element has two upper covers
+    chain = all(len(lattice.upper_covers(p)) <= 1 for p in lattice.pairs)
+    small_b = all(len(breaking_vertices(g, H)) <= 1 for H in lattice.hs_sets)
     quots_dd = True
     for pair in lattice.pairs:
         q = quotient(g, pair).graph
@@ -439,7 +434,7 @@ def maximal_decomposition(g: Graph, lattice: PairLattice) -> Optional[List[Tuple
     """
     if not condition_K(g).holds:
         return None
-    hs = [h for h in enumerate_hs(g) if h]
+    hs = [h for h in lattice.hs_sets if h]
     atoms = [h for h in hs if not any(other and other < h for other in hs)]
     union = set()
     for a in atoms:

@@ -8,7 +8,15 @@ from leavitt.errors import GraphError
 from leavitt.graphs import Graph, OMEGA
 from leavitt.lattice import enumerate_hs
 from leavitt.laurent import GF, QQ, LaurentPoly, factor, parse_poly
-from leavitt.oracles import acyclic_sink_lattice, brute_hs, laurent_model
+from leavitt.graphs import simple_closed_path_count
+from leavitt.ideals import _graded_prime_flags
+from leavitt.oracles import (
+    SearchLattice,
+    acyclic_sink_lattice,
+    brute_hs,
+    closed_path_count_by_search,
+    laurent_model,
+)
 
 from conftest import lattice_of, random_dag
 
@@ -150,9 +158,28 @@ def test_closed_form_meet_is_search_meet(corpus):
 
     for g in corpus:
         lat = lattice_of(g)
+        ref = SearchLattice(lat)
         for a in lat.pairs:
             for b in lat.pairs:
-                assert closed_form_meet(g, a, b) == lat.meet(a, b)
+                assert closed_form_meet(g, a, b) == ref.meet(a, b)
+
+
+def test_lattice_engine_matches_search_lattice(corpus):
+    for g in corpus:
+        lat = lattice_of(g)
+        ref = SearchLattice(lat)
+        for a in lat.pairs:
+            assert lat.upper_covers(a) == ref.upper_covers(a)
+            for b in lat.pairs:
+                assert lat.meet(a, b) == ref.meet(a, b)
+                assert lat.join(a, b) == ref.join(a, b)
+        assert _graded_prime_flags(g, lat) == ref.prime_flags()
+
+
+def test_closed_path_count_matches_search(corpus):
+    for g in corpus:
+        for v in g.vertices:
+            assert simple_closed_path_count(g, v) == closed_path_count_by_search(g, v), (g, v)
 
 
 def test_graded_product_matches_sink_intersection_on_dags():
