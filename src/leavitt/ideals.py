@@ -265,12 +265,13 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
     when it has one upper cover; the top is vacuously meet-prime.  Two facts
     are verified for every element: a prime quotient vertex set must be
     downward directed, and a full-S pair over a downward directed complement
-    must be prime.  Any disagreement aborts.
+    must be prime.  Any disagreement aborts.  Each quotient's directedness
+    verdict is kept on the lattice for :func:`_quotients_directed`.
     """
     cached = lattice.cache.get("prime_flags")
     if cached is not None:
         return cached
-    flags = {}
+    flags, directed = {}, {}
     for p in lattice.pairs:
         meet_prime = p == lattice.top or len(lattice.upper_covers(p)) == 1
         q = quotient(g, p)
@@ -285,8 +286,16 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
                 f"{p} has S = B_H over a downward directed complement but is not meet-prime"
             )
         flags[p] = meet_prime
+        directed[p] = dd
     lattice.cache["prime_flags"] = flags
+    lattice.cache["quotient_dd"] = directed
     return flags
+
+
+def _quotients_directed(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, bool]:
+    """Whether each lattice element's quotient vertex set is downward directed."""
+    _graded_prime_flags(g, lattice)
+    return lattice.cache["quotient_dd"]
 
 
 def is_prime(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeWitness:
@@ -321,11 +330,12 @@ def is_prime(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeWitness:
     if I.graded.s_set != bh:
         return PrimeWitness(False, "S-not-full", tuple(sorted(bh - I.graded.s_set)))
     (cyc, p), = I.components
-    if not is_irreducible(p):
+    fac = factor(p)
+    if list(fac.values()) != [1]:
         return PrimeWitness(
             False,
             "reducible-polynomial",
-            tuple(sorted(factor(p).items(), key=lambda kv: kv[0].sort_key())),
+            tuple(sorted(fac.items(), key=lambda kv: kv[0].sort_key())),
         )
     complement = [v for v in g.vertices if v not in I.graded.h_set]
     report = downward_directed(g, complement)

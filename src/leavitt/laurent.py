@@ -10,9 +10,10 @@ generate the same ideal iff their canonical q parts agree.
 Supported coefficient fields are the rationals (:data:`QQ`) and prime fields
 ``GF(p)`` for p prime.  Factorization over GF(p) runs squarefree
 decomposition, distinct-degree splitting and seeded Cantor-Zassenhaus;
-factorization over the rationals runs rational-root extraction, modular
-degree-pattern pruning and a bounded Kronecker search, and is limited to
-degree 8 (inputs beyond that are rejected loudly).
+factorization over the rationals is Zassenhaus's: the same GF(p) pipeline
+modulo a small prime, Hensel lifting and recombination of the lifted factors.
+It is limited to degree 8 (inputs beyond that are rejected loudly), which
+bounds the recombination at 2^8 trial divisors.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, isqrt
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import InternalInconsistencyError, LaurentError
 
 _Q_FACTOR_DEGREE_BOUND = 8
-_KRONECKER_WORK_CAP = 200_000
 
 
 def _is_prime(n: int) -> bool:
@@ -100,23 +102,17 @@ class Rationals:
 QQ = Rationals()
 
 
-class PrimeField:
-    """GF(p) for prime p; coefficients are ints in ``range(p)``."""
+class _Residues:
+    """Z/m for a modulus m >= 2, kept in ``p``; ``div`` is defined for units only.
 
-    def __init__(self, p: int):
-        if not isinstance(p, int) or p > 2**31 or not _is_prime(p):
-            raise LaurentError(f"modulus {p!r} is not a supported prime")
-        self.p = p
-        self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1 % p
+    Over Q, factoring lifts GF(p) factors to Z/p^k in this ring.
+    """
 
-    def coerce(self, x) -> int:
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise LaurentError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+    zero = 0
+    one = 1
+
+    def __init__(self, m: int):
+        self.p = m
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -135,6 +131,23 @@ class PrimeField:
 
     def scale_int(self, k, a):
         return k * a % self.p
+
+
+class PrimeField(_Residues):
+    """GF(p) for prime p; coefficients are ints in ``range(p)``."""
+
+    def __init__(self, p: int):
+        if not isinstance(p, int) or p > 2**31 or not _is_prime(p):
+            raise LaurentError(f"modulus {p!r} is not a supported prime")
+        super().__init__(p)
+        self.name = f"F{p}"
+
+    def coerce(self, x) -> int:
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise LaurentError(f"denominator of {x} vanishes mod {self.p}")
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        return int(x) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -584,171 +597,86 @@ def _q_sqfree_parts(f: Tuple) -> List[Tuple[Tuple, int]]:
 
 
 def _to_primitive_int(q: Tuple[Fraction, ...]) -> Tuple[int, ...]:
-    from math import gcd as igcd
-
     den = 1
     for c in q:
-        den = den * c.denominator // igcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in q]
     g = 0
     for c in ints:
-        g = igcd(g, abs(c))
+        g = gcd(g, abs(c))
     return tuple(c // g for c in ints)
 
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _hensel_lift(F: PrimeField, P: Tuple[int, ...], modular: List[Tuple], m: int) -> List[Tuple]:
+    """Lift the monic irreducible factors of P mod p to monic factors of P mod m = p^k.
 
-
-def _eval_int(P: Tuple[int, ...], a: int) -> int:
-    y = 0
-    for c in reversed(P):
-        y = y * a + c
-    return y
-
-
-def _eval_q(P: Tuple[Fraction, ...], a: Fraction) -> Fraction:
-    y = Fraction(0)
-    for c in reversed(P):
-        y = y * a + c
-    return y
-
-
-def _interpolate(points: List[Tuple[int, int]]) -> Tuple[Fraction, ...]:
-    """Newton interpolation through integer points, exact over Q."""
-    F = QQ
-    basis: Tuple = (Fraction(1),)
-    out: Tuple = ()
-    for xi, yi in points:
-        coef = (Fraction(yi) - _eval_q(out, Fraction(xi))) / _eval_q(basis, Fraction(xi))
-        out = _padd(F, out, tuple(coef * b for b in basis))
-        basis = _pmul(F, basis, (Fraction(-xi), Fraction(1)))
-    return out
-
-
-def _mod_degree_patterns(P: Tuple[int, ...]) -> set:
-    """Possible proper factor degrees, intersected across several small primes."""
-    degrees = None
-    used = 0
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if P[-1] % p == 0:
-            continue
-        F = PrimeField(p)
-        fp = _trim([c % p for c in P])
-        if len(fp) != len(P):
-            continue
-        if len(_pgcd(F, fp, _pderiv(F, fp))) > 1:
-            continue
-        fac = _fp_factor(F, _pmonic(F, fp))
-        degs = []
-        for g, m in fac.items():
-            degs.extend([len(g) - 1] * m)
-        sums = {0}
-        for d in degs:
-            sums |= {s + d for s in sums}
-        pattern = {s for s in sums if 0 < s < len(P) - 1}
-        degrees = pattern if degrees is None else degrees & pattern
-        used += 1
-        if used >= 3 or not degrees:
-            break
-    if degrees is None:
-        degrees = set(range(1, len(P) - 1))
-    return degrees
-
-
-def _kronecker_find_factor(P: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
-    """Search for a monic rational factor of degree k of the integer poly P."""
-    pts = []
-    for a in sorted(range(-20, 21), key=lambda a: (abs(_eval_int(P, a)), abs(a))):
-        v = _eval_int(P, a)
-        if v != 0:
-            pts.append((a, v))
-        if len(pts) == k + 1:
-            break
-    if len(pts) < k + 1:
-        return ()
-    divisor_lists = []
-    work = 1
-    for a, v in pts:
-        ds = _divisors(v)
-        divisor_lists.append([(a, s * d) for d in ds for s in (1, -1)])
-        work *= 2 * len(ds)
-    if work > _KRONECKER_WORK_CAP:
-        raise LaurentError(
-            f"factor search space {work} exceeds the desk-scale bound; coefficients too large"
-        )
-    F = QQ
-    target = tuple(Fraction(c) for c in P)
-    seen = set()
-
-    def rec(i, chosen):
-        if i == len(divisor_lists):
-            cand = _interpolate(chosen)
-            if len(cand) != k + 1:
-                return ()
-            cand = _pmonic(F, cand)
-            if cand in seen:
-                return ()
-            seen.add(cand)
-            q, r = _pdivmod(F, target, cand)
-            if not r:
-                return cand
-            return ()
-        for choice in divisor_lists[i]:
-            got = rec(i + 1, chosen + [choice])
-            if got:
-                return got
-        return ()
-
-    return rec(0, [])
+    Linear lifting: if P = lc * prod(g_i) mod q, adding q * a_i to each g_i
+    with a_i = e * c_i mod g_i makes it hold mod q*p, where e = (P - lc *
+    prod(g_i)) / q and c_i inverts P / g_i modulo g_i (mod p).
+    """
+    p = F.p
+    fp = tuple(c % p for c in P)
+    # GF(p)[x]/(g) is a field of p^deg(g) elements, so a^(p^deg(g) - 2) inverts a mod g
+    cs = [_fp_powmod(F, _pdivmod(F, fp, g)[0], p ** (len(g) - 1) - 2, g) for g in modular]
+    lifted, q = modular, p
+    while q < m:
+        R = _Residues(q * p)
+        prod = (P[-1],)
+        for u in lifted:
+            prod = _pmul(R, prod, u)
+        e = tuple(c // q for c in _psub(R, P, prod))
+        lifted = [
+            _padd(R, u, tuple(q * a for a in _pdivmod(F, _pmul(F, e, c), g)[1]))
+            for u, c, g in zip(lifted, cs, modular)
+        ]
+        q *= p
+    return lifted
 
 
 def _q_factor_squarefree(h: Tuple[Fraction, ...]) -> List[Tuple[Fraction, ...]]:
-    """Irreducible monic factors of a monic squarefree rational polynomial."""
-    F = QQ
-    if len(h) <= 1:
-        return []
-    if len(h) == 2:
+    """Irreducible monic factors of a monic squarefree rational polynomial.
+
+    Zassenhaus: factor the primitive integer multiple P of h modulo the
+    smallest odd prime p that keeps it squarefree and of full degree, lift
+    the modular factors to p^k > 2B (B = 2^deg * |P|_2 * lc(P) bounds lc(P)
+    times any monic factor, Mignotte), and recombine subsets of the lifted
+    factors, smallest first, into trial divisors.
+    """
+    P = _to_primitive_int(h)
+    lc = P[-1]
+    p = 3
+    while True:
+        if _is_prime(p) and lc % p:
+            F = PrimeField(p)
+            fp = tuple(c % p for c in P)
+            if len(_pgcd(F, fp, _pderiv(F, fp))) == 1:
+                break
+        p += 2
+    modular = list(_fp_factor(F, fp))
+    if len(modular) == 1:
         return [h]
+    bound = 2 ** (len(P) - 1) * (isqrt(sum(c * c for c in P)) + 1) * lc
+    m = p
+    while m <= 2 * bound:
+        m *= p
+    R = _Residues(m)
+    lifted = _hensel_lift(F, P, modular, m)
     out = []
-    P = _to_primitive_int(h)
-    # rational roots r = num/den with num | P(0), den | lead(P)
-    for num in _divisors(P[0]):
-        for den in _divisors(P[-1]):
-            for s in (1, -1):
-                r = Fraction(s * num, den)
-                root_val = sum((c * r**i for i, c in enumerate(h)), Fraction(0))
-                if root_val == 0:
-                    lin = (-r, Fraction(1))
-                    q, rem = _pdivmod(F, h, lin)
-                    if rem:
-                        raise InternalInconsistencyError("root does not divide")
-                    out.append(lin)
-                    h = q
-    if len(h) <= 1:
-        return out
-    if len(h) == 2:
-        return out + [h]
-    if len(h) <= 4:  # degree 2 or 3 without rational roots
-        return out + [h]
-    P = _to_primitive_int(h)
-    patterns = sorted(d for d in _mod_degree_patterns(P) if 2 <= d <= (len(P) - 1) // 2)
-    for k in patterns:
-        got = _kronecker_find_factor(P, k)
-        if got:
-            q, rem = _pdivmod(F, h, got)
-            if rem:
-                raise InternalInconsistencyError("Kronecker factor does not divide")
-            return out + _q_factor_squarefree(got) + _q_factor_squarefree(_pmonic(F, q))
+    s = 1
+    while 2 * s <= len(lifted):
+        for subset in combinations(lifted, s):
+            G = (lc,)
+            for u in subset:
+                G = _pmul(R, G, u)
+            cand = _pmonic(QQ, tuple(Fraction(c - m if 2 * c > m else c) for c in G))
+            quo, rem = _pdivmod(QQ, h, cand)
+            if not rem:
+                out.append(cand)
+                h, lc = quo, _to_primitive_int(quo)[-1]
+                lifted = [u for u in lifted if u not in subset]
+                break
+        else:
+            s += 1
     return out + [h]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FactorizationError, IdealError, InternalInconsistencyError
-from .graphs import Graph, condition_K, downward_directed, exitless_cycles, reaches
+from .graphs import Graph, condition_K, exitless_cycles, reaches
 from .ideals import (
     IdealRep,
     contains,
@@ -27,6 +27,7 @@ from .ideals import (
     unit_ideal,
     zero_ideal,
     _graded_prime_flags,
+    _quotients_directed,
 )
 from .lattice import (
     AdmissiblePair,
@@ -375,12 +376,7 @@ def everything_prime_check(g: Graph, lattice: PairLattice, fld=QQ) -> Everything
     # a finite lattice is a chain exactly when no element has two upper covers
     chain = all(len(lattice.upper_covers(p)) <= 1 for p in lattice.pairs)
     small_b = all(len(breaking_vertices(g, H)) <= 1 for H in lattice.hs_sets)
-    quots_dd = True
-    for pair in lattice.pairs:
-        q = quotient(g, pair).graph
-        if not downward_directed(q, q.vertices).holds:
-            quots_dd = False
-            break
+    quots_dd = all(_quotients_directed(g, lattice).values())
     criterion = k and chain and small_b and quots_dd
     chain_verdict = k and chain
     all_prime = True

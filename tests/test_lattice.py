@@ -11,15 +11,12 @@ from leavitt.lattice import (
     admissible_pair,
     bottom_pair,
     breaking_vertices,
-    closed_form_meet,
     enumerate_hs,
     hereditary_saturated_closure,
     normalize_generators,
     quotient,
     top_pair,
 )
-
-from leavitt.oracles import SearchLattice
 
 from conftest import lattice_of
 
@@ -113,15 +110,6 @@ def test_lattice_axioms(corpus):
         for a, b, c in triples:
             assert lat.meet(a, lat.meet(b, c)) == lat.meet(lat.meet(a, b), c)
             assert lat.join(a, lat.join(b, c)) == lat.join(lat.join(a, b), c)
-
-
-def test_closed_form_meet_matches_search(corpus):
-    for g in corpus:
-        lat = lattice_of(g)
-        ref = SearchLattice(lat)
-        for a in lat.pairs:
-            for b in lat.pairs:
-                assert closed_form_meet(g, a, b) == ref.meet(a, b)
 
 
 def test_quotient_examples(named):

@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic: canonical forms, gcd/lcm, factorization."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,38 @@ def test_degree_bound_over_q():
     f = LaurentPoly.from_coeffs(QQ, [1] + [0] * 8 + [1])  # degree 9
     with pytest.raises(LaurentError, match="degree 9 exceeds"):
         factor(f)
+
+
+def test_factor_products_of_quartics():
+    """Quartic pairs whose products have large values at small integers, so a
+    divisor-interpolation search would face about a million candidates."""
+    pairs = (
+        ("8+6x+3x^2-5x^3+x^4", "-2-5x+7x^2+3x^3+x^4"),
+        ("6+3x+4x^2+3x^3+x^4", "9+5x-5x^2+2x^3+x^4"),
+    )
+    for a, b in pairs:
+        start = time.process_time()
+        assert factor(q(a) * q(b)) == {q(a): 1, q(b): 1}
+    assert time.process_time() - start < 1.0
+
+
+def test_factor_over_q_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(1729)
+    for _ in range(320):
+        # a product of up to three random monic polynomials, degree <= 8 in all
+        f = LaurentPoly.one(QQ)
+        for _ in range(rng.randint(1, 3)):
+            if f.degree < 8:
+                d = rng.randint(1, 8 - f.degree)
+                f = f * LaurentPoly.from_coeffs(QQ, [rng.randint(-7, 7) for _ in range(d)] + [1])
+        want = {}
+        for g, mult in sympy.factor_list(sympy.Poly([int(c) for c in f.coeffs[::-1]], x))[1]:
+            h = LaurentPoly.from_coeffs(QQ, [int(c) for c in g.all_coeffs()[::-1]]).unit_free()
+            if not h.is_unit:
+                want[h] = mult
+        assert factor(f) == want, str(f)
 
 
 def test_is_irreducible():

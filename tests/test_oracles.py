@@ -153,17 +153,6 @@ def test_fp_factor_matches_trial_division():
             assert factor(f) == trial_division_factor(field, f), str(f)
 
 
-def test_closed_form_meet_is_search_meet(corpus):
-    from leavitt.lattice import closed_form_meet
-
-    for g in corpus:
-        lat = lattice_of(g)
-        ref = SearchLattice(lat)
-        for a in lat.pairs:
-            for b in lat.pairs:
-                assert closed_form_meet(g, a, b) == ref.meet(a, b)
-
-
 def test_lattice_engine_matches_search_lattice(corpus):
     for g in corpus:
         lat = lattice_of(g)
