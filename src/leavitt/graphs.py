@@ -128,7 +128,7 @@ class Cycle:
 class Graph:
     """Immutable directed multigraph over string vertex identifiers."""
 
-    __slots__ = ("vertices", "bundles", "_out", "_in", "_reach", "_breaking")
+    __slots__ = ("vertices", "bundles", "_out", "_in", "_reach", "_breaking", "_bits", "_quotients")
 
     def __init__(self, vertices: Iterable[str], bundles: Mapping[Tuple[str, str], Multiplicity]):
         vs = list(vertices)
@@ -157,6 +157,8 @@ class Graph:
         self._in = inc
         self._reach = {}
         self._breaking = {}  # hereditary saturated set -> its breaking vertices
+        self._bits = None  # vertex bitmasks, built by the lattice module on first use
+        self._quotients = {}  # admissible pair -> its quotient graph
 
     def __contains__(self, v: str) -> bool:
         return v in self._out

@@ -23,7 +23,7 @@ from .errors import (
     InternalInconsistencyError,
     UnsupportedConfigurationError,
 )
-from .graphs import Cycle, Graph, condition_L, downward_directed, exitless_cycles
+from .graphs import Cycle, Graph, downward_directed
 from .laurent import LaurentPoly, divides, factor, is_irreducible, poly_lcm
 from .lattice import (
     AdmissiblePair,
@@ -90,10 +90,6 @@ def is_proper(g: Graph, I: IdealRep) -> bool:
     return I.graded != top_pair(g)
 
 
-def _exitless_in_quotient(g: Graph, pair: AdmissiblePair):
-    return set(exitless_cycles(quotient(g, pair).graph))
-
-
 def make(
     g: Graph,
     pair: AdmissiblePair,
@@ -109,7 +105,6 @@ def make(
     items = components.items() if isinstance(components, Mapping) else list(components)
     cleaned = []
     field = None
-    allowed = None
     for cyc, p in items:
         if not isinstance(cyc, Cycle):
             raise IdealError(f"component key {cyc!r} is not a cycle")
@@ -122,9 +117,7 @@ def make(
         p = p.unit_free()
         if p.degree < 1:
             raise IdealError(f"component polynomial {p} is a unit; degree >= 1 required")
-        if allowed is None:
-            allowed = _exitless_in_quotient(g, pair)
-        if cyc not in allowed:
+        if cyc not in quotient(g, pair).exitless:
             raise IdealError(
                 f"cycle {'->'.join(cyc.vertices)} is not an exitless cycle of the "
                 f"quotient graph by {pair}"
@@ -265,17 +258,15 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
     when it has one upper cover; the top is vacuously meet-prime.  Two facts
     are verified for every element: a prime quotient vertex set must be
     downward directed, and a full-S pair over a downward directed complement
-    must be prime.  Any disagreement aborts.  Each quotient's directedness
-    verdict is kept on the lattice for :func:`_quotients_directed`.
+    must be prime.  Any disagreement aborts.
     """
     cached = lattice.cache.get("prime_flags")
     if cached is not None:
         return cached
-    flags, directed = {}, {}
+    flags = {}
     for p in lattice.pairs:
         meet_prime = p == lattice.top or len(lattice.upper_covers(p)) == 1
-        q = quotient(g, p)
-        dd = downward_directed(q.graph, q.graph.vertices).holds
+        dd = quotient(g, p).directed
         if meet_prime and not dd:
             raise InternalInconsistencyError(
                 f"{p} is meet-prime but its quotient vertex set is not downward directed"
@@ -286,16 +277,8 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
                 f"{p} has S = B_H over a downward directed complement but is not meet-prime"
             )
         flags[p] = meet_prime
-        directed[p] = dd
     lattice.cache["prime_flags"] = flags
-    lattice.cache["quotient_dd"] = directed
     return flags
-
-
-def _quotients_directed(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, bool]:
-    """Whether each lattice element's quotient vertex set is downward directed."""
-    _graded_prime_flags(g, lattice)
-    return lattice.cache["quotient_dd"]
 
 
 def is_prime(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeWitness:
@@ -360,7 +343,7 @@ def is_maximal(g: Graph, lattice: PairLattice, I: IdealRep) -> bool:
             raise IdealError(f"{I.graded} is not in the supplied lattice")
         if not lattice.covered_by_top(I.graded):
             return False
-        return condition_L(quotient(g, I.graded).graph).holds
+        return not quotient(g, I.graded).exitless
     if len(I.components) != 1:
         return False
     if I.graded.s_set != breaking_vertices(g, I.graded.h_set):

@@ -4,62 +4,84 @@ An admissible pair ``(H, S)`` is a hereditary saturated vertex set H together
 with a set S of breaking vertices of H; it names the graded ideal generated
 by H and the elements ``v - sum(e e* : s(e)=v, r(e) not in H)`` for v in S.
 The pairs are ordered by ``(H1,S1) <= (H2,S2) iff H1 <= H2 and S1 <= H2|S2``
-and form a finite distributive lattice, enumerated here exhaustively, with
-meets and joins from closed forms and the order read through upper covers.
+and form a finite distributive lattice.  Vertex sets are handled as int
+bitmasks, the hereditary saturated sets are listed by Ganter's NextClosure,
+meets and joins come from closed forms and the order is read through upper
+covers.  Quotient graphs are memoized on the graph per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import InternalInconsistencyError, LatticeError
-from .graphs import Graph, is_finite
+from .graphs import (
+    Graph, VertexClass, classify, downward_directed, exitless_cycles, is_finite, reachable_from,
+)
 
 VertexSet = frozenset
 
 
-def is_hereditary(g: Graph, H: Iterable[str]) -> bool:
-    hset = frozenset(H)
-    return all(w in hset for v in hset for w in g.successors(v))
+def _bits(g: Graph):
+    """``(index, reach, succ, regular)`` for g, computed once and kept on it.
+
+    Vertex i of ``g.vertices`` is bit ``1 << i`` and ``index[v] == i``;
+    ``reach[i]`` and ``succ[i]`` are the masks of what vertex i reaches and of
+    its successors, and ``regular`` lists the i of the regular vertices.
+    """
+    if g._bits is None:
+        index = {v: i for i, v in enumerate(g.vertices)}
+        g._bits = (  # the bits are distinct, so each sum is a union
+            index,
+            tuple(sum(1 << index[w] for w in reachable_from(g, v)) for v in g.vertices),
+            tuple(sum(1 << index[w] for w in g.successors(v)) for v in g.vertices),
+            tuple(i for i, v in enumerate(g.vertices) if classify(g, v) == VertexClass.REGULAR),
+        )
+    return g._bits
 
 
-def _forced(g: Graph, H, v: str) -> bool:
-    """Whether v is a regular vertex all of whose edges end in H."""
-    obs = g.out_bundles(v)
-    return bool(obs) and all(w in H and is_finite(m) for w, m in obs)
+def _mask(g: Graph, X: Iterable[str]) -> int:
+    index = _bits(g)[0]
+    m = 0
+    for v in X:
+        g._check(v)
+        m |= 1 << index[v]
+    return m
 
 
-def is_saturated(g: Graph, H: Iterable[str]) -> bool:
-    hset = frozenset(H)
-    return not any(_forced(g, hset, v) for v in g.vertices if v not in hset)
+def _names(g: Graph, m: int) -> VertexSet:
+    return frozenset(v for i, v in enumerate(g.vertices) if m >> i & 1)
+
+
+def _close(g: Graph, m: int) -> int:
+    """Least hereditary saturated superset of the vertex mask m.
+
+    One pass ORs in what m reaches; then every regular vertex whose edges all
+    end inside is added until none is left.  Such a vertex keeps the set
+    hereditary, so no second reach pass is needed.  Infinite emitters are
+    never forced in by saturation.
+    """
+    _, reach, succ, regular = _bits(g)
+    h = 0
+    for i, r in enumerate(reach):
+        if m >> i & 1:
+            h |= r
+    grew = True
+    while grew:
+        grew = False
+        for i in regular:
+            if not h >> i & 1 and not succ[i] & ~h:
+                h |= 1 << i
+                grew = True
+    return h
 
 
 def hereditary_saturated_closure(g: Graph, X: Iterable[str]) -> VertexSet:
-    """Least hereditary saturated superset of X.
-
-    Alternates downward (successor) closure with regular-vertex saturation
-    until a fixpoint is reached.  Infinite emitters are never forced in by
-    saturation.
-    """
-    H = set(X)
-    for v in H:
-        g._check(v)
-    changed = True
-    while changed:
-        changed = False
-        stack = list(H)
-        while stack:
-            v = stack.pop()
-            for w in g.successors(v):
-                if w not in H:
-                    H.add(w)
-                    stack.append(w)
-        for v in g.vertices:
-            if v not in H and _forced(g, H, v):
-                H.add(v)
-                changed = True
-    return frozenset(H)
+    """Least hereditary saturated superset of X."""
+    return _names(g, _close(g, _mask(g, X)))
 
 
 def _vkey(s: Iterable[str]) -> Tuple[str, ...]:
@@ -69,28 +91,27 @@ def _vkey(s: Iterable[str]) -> Tuple[str, ...]:
 def enumerate_hs(g: Graph) -> List[VertexSet]:
     """All hereditary saturated subsets, sorted by their sorted vertex tuple.
 
-    Generated as closures of singletons, then closed under union-followed-by-
-    closure until stable; agreement with the brute-force filter over all
-    subsets is enforced by the oracle suite.
+    Ganter's NextClosure, one closure per candidate: the next set after A is
+    the first closure of (A below i) + i, for i from the last vertex down,
+    that adds nothing below i.  The oracle suite checks the family against
+    the brute-force filter over all subsets.
     """
-    seeds = {hereditary_saturated_closure(g, ())}
-    for v in g.vertices:
-        seeds.add(hereditary_saturated_closure(g, (v,)))
-    family = set(seeds)
-    frontier = set(seeds)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in family:
-                u = a | b
-                if u in family:
-                    continue
-                c = hereditary_saturated_closure(g, u)
-                if c not in family:
-                    fresh.add(c)
-        family |= fresh
-        frontier = fresh
-    return sorted(family, key=_vkey)
+    n = len(g.vertices)
+    A = _close(g, 0)
+    found = [A]
+    while True:
+        for i in reversed(range(n)):
+            bit = 1 << i
+            if A & bit:
+                continue
+            below = bit - 1
+            B = _close(g, (A & below) | bit)
+            if B & below == A & below:
+                A = B
+                found.append(B)
+                break
+        else:
+            return sorted((_names(g, m) for m in found), key=_vkey)
 
 
 def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
@@ -102,7 +123,8 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
     hit = g._breaking.get(hset)
     if hit is not None:
         return hit
-    if not is_hereditary(g, hset) or not is_saturated(g, hset):
+    mask = _mask(g, hset)
+    if _close(g, mask) != mask:
         raise LatticeError(f"{sorted(hset)} is not hereditary saturated")
     result = set()
     for v in g.vertices:
@@ -128,11 +150,11 @@ class AdmissiblePair:
     def of(cls, H: Iterable[str], S: Iterable[str]) -> "AdmissiblePair":
         return cls(_vkey(H), _vkey(S))
 
-    @property
+    @cached_property
     def h_set(self) -> VertexSet:
         return frozenset(self.h)
 
-    @property
+    @cached_property
     def s_set(self) -> VertexSet:
         return frozenset(self.s)
 
@@ -162,12 +184,6 @@ def bottom_pair() -> AdmissiblePair:
 
 def top_pair(g: Graph) -> AdmissiblePair:
     return AdmissiblePair(tuple(g.vertices), ())
-
-
-def _subsets(items: Tuple[str, ...]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield tuple(items[i] for i in range(n) if mask >> i & 1)
 
 
 class PairLattice:
@@ -270,7 +286,7 @@ def enumerate_pairs(g: Graph) -> PairLattice:
     pairs = []
     for H in enumerate_hs(g):
         bh = _vkey(breaking_vertices(g, H))
-        for S in _subsets(bh):
+        for S in chain.from_iterable(combinations(bh, r) for r in range(len(bh) + 1)):
             pairs.append(AdmissiblePair.of(H, S))
     return PairLattice(g, pairs)
 
@@ -289,7 +305,7 @@ def closed_form_meet(g: Graph, a: AdmissiblePair, b: AdmissiblePair) -> Admissib
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientGraph:
     """Quotient of a graph by an admissible pair.
 
@@ -299,6 +315,16 @@ class QuotientGraph:
 
     graph: Graph
     provenance: Dict[str, Tuple[str, bool]] = field(default_factory=dict)
+
+    @cached_property
+    def exitless(self) -> Tuple:
+        """The exitless cycles of the quotient graph, in canonical order."""
+        return tuple(exitless_cycles(self.graph))
+
+    @cached_property
+    def directed(self) -> bool:
+        """Whether the quotient's vertex set is downward directed."""
+        return downward_directed(self.graph, self.graph.vertices).holds
 
     def primed_vertices(self) -> List[str]:
         return sorted(v for v, (_, primed) in self.provenance.items() if primed)
@@ -316,10 +342,13 @@ def quotient(g: Graph, p: AdmissiblePair) -> QuotientGraph:
 
     Vertices are (E0 \\ H) plus a primed sink v' for each breaking vertex v
     outside S; bundles with target outside H survive, and each bundle into a
-    breaking vertex outside S is duplicated onto its primed sink.
+    breaking vertex outside S is duplicated onto its primed sink.  Memoized
+    on the graph per pair.
     """
-    hset = frozenset(p.h)
-    sset = frozenset(p.s)
+    hit = g._quotients.get(p)
+    if hit is not None:
+        return hit
+    hset, sset = p.h_set, p.s_set
     bh = breaking_vertices(g, hset)
     if not sset <= bh:
         raise LatticeError(f"invalid pair {p} for this graph")
@@ -341,7 +370,8 @@ def quotient(g: Graph, p: AdmissiblePair) -> QuotientGraph:
             bundles[(src, primed_of[dst])] = mult
     provenance = {v: (v, False) for v in survivors}
     provenance.update({name: (v, True) for v, name in primed_of.items()})
-    return QuotientGraph(Graph(sorted(taken), bundles), provenance)
+    hit = g._quotients[p] = QuotientGraph(Graph(sorted(taken), bundles), provenance)
+    return hit
 
 
 def normalize_generators(g: Graph, X: Iterable[str], T: Iterable[str]) -> AdmissiblePair:
@@ -356,14 +386,15 @@ def normalize_generators(g: Graph, X: Iterable[str], T: Iterable[str]) -> Admiss
         g._check(v)
         if is_finite(g.total_out(v)):
             raise LatticeError(f"{v!r} is not an infinite emitter")
-    H = hereditary_saturated_closure(g, X)
+    index, _, succ, _ = _bits(g)
+    H = _close(g, _mask(g, X))
     tset = frozenset(T)
     changed = True
     while changed:
         changed = False
-        for v in sorted(tset - H):
-            if all(w in H for w in g.successors(v)):
-                H = hereditary_saturated_closure(g, H | {v})
+        for i in sorted(index[v] for v in tset):
+            if not H >> i & 1 and not succ[i] & ~H:
+                H = _close(g, H | 1 << i)
                 changed = True
-    S = tset & breaking_vertices(g, H)
-    return AdmissiblePair.of(H, S)
+    hset = _names(g, H)
+    return AdmissiblePair.of(hset, tset & breaking_vertices(g, hset))

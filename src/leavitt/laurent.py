@@ -244,13 +244,6 @@ def _pderiv(F, a):
     return _trim([F.scale_int(i, a[i]) for i in range(1, len(a))])
 
 
-def _ppow(F, a, n):
-    out = (F.one,)
-    for _ in range(n):
-        out = _pmul(F, out, a)
-    return out
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """Immutable ``x^shift * q(x)`` with ``q(0) != 0`` (or the zero value)."""

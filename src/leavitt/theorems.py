@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FactorizationError, IdealError, InternalInconsistencyError
-from .graphs import Graph, condition_K, exitless_cycles, reaches
+from .graphs import Graph, condition_K, reaches
 from .ideals import (
     IdealRep,
     contains,
@@ -27,7 +27,6 @@ from .ideals import (
     unit_ideal,
     zero_ideal,
     _graded_prime_flags,
-    _quotients_directed,
 )
 from .lattice import (
     AdmissiblePair,
@@ -38,16 +37,6 @@ from .lattice import (
     quotient,
 )
 from .laurent import QQ, LaurentPoly, factor
-
-
-def quotient_exitless_cycles(g: Graph, lattice: PairLattice, pair: AdmissiblePair):
-    """Exitless cycles of the quotient graph by a pair, cached on the lattice."""
-    cache = lattice.cache.setdefault("exitless_cycles", {})
-    got = cache.get(pair)
-    if got is None:
-        got = tuple(exitless_cycles(quotient(g, pair).graph))
-        cache[pair] = got
-    return got
 
 
 def graded_primes(g: Graph, lattice: PairLattice) -> List[AdmissiblePair]:
@@ -90,7 +79,7 @@ def primes_containing(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeFamil
                 continue
             if not I.graded.le(pair):
                 continue
-            for cyc in quotient_exitless_cycles(g, lattice, pair):
+            for cyc in quotient(g, pair).exitless:
                 p_c = comp_map.get(cyc)
                 if p_c is None:
                     continue
@@ -179,7 +168,7 @@ def sample_ideal_family(g: Graph, lattice: PairLattice, fld=QQ) -> List[IdealRep
     ideals = [rep(p) for p in lattice.proper()]
     seen = set(ideals)
     for pair in lattice.pairs:
-        for cyc in quotient_exitless_cycles(g, lattice, pair):
+        for cyc in quotient(g, pair).exitless:
             for poly in standard_test_polys(fld):
                 I = make(g, pair, {cyc: poly})
                 if I not in seen:
@@ -224,7 +213,7 @@ def prime_intersection_counterexample(g: Graph, lattice: PairLattice, fld=QQ) ->
     """
     one_x = LaurentPoly.from_coeffs(fld, [1, 1])
     for pair in lattice.pairs:
-        cycles = quotient_exitless_cycles(g, lattice, pair)
+        cycles = quotient(g, pair).exitless
         if not cycles:
             continue
         I = make(g, pair, {cycles[0]: one_x * one_x})
@@ -376,7 +365,7 @@ def everything_prime_check(g: Graph, lattice: PairLattice, fld=QQ) -> Everything
     # a finite lattice is a chain exactly when no element has two upper covers
     chain = all(len(lattice.upper_covers(p)) <= 1 for p in lattice.pairs)
     small_b = all(len(breaking_vertices(g, H)) <= 1 for H in lattice.hs_sets)
-    quots_dd = all(_quotients_directed(g, lattice).values())
+    quots_dd = all(quotient(g, p).directed for p in lattice.pairs)
     criterion = k and chain and small_b and quots_dd
     chain_verdict = k and chain
     all_prime = True

@@ -1,11 +1,12 @@
 """Hereditary saturated sets, admissible pairs, meets/joins and quotients."""
 
 import random
+import time
 
 import pytest
 
 from leavitt.errors import LatticeError
-from leavitt.graphs import Graph, OMEGA
+from leavitt.graphs import Graph, OMEGA, downward_directed, exitless_cycles
 from leavitt.lattice import (
     AdmissiblePair,
     admissible_pair,
@@ -39,6 +40,20 @@ def test_enumerate_hs_small_graphs(named):
     assert hs_sets(named["B1"]) == [(), ("a",), ("a", "b"), ("a", "b", "u"), ("b",)]
 
 
+def test_enumerate_hs_forks_is_fast():
+    # five disjoint forks u -omega-> a, u -1-> b: each has the 5 HS sets of B1
+    k = 5
+    bundles = {}
+    for i in range(k):
+        bundles[(f"u{i}", f"a{i}")] = OMEGA
+        bundles[(f"u{i}", f"b{i}")] = 1
+    g = Graph([f"{x}{i}" for i in range(k) for x in "uab"], bundles)
+    start = time.process_time()
+    hs = enumerate_hs(g)
+    assert time.process_time() - start < 1.0
+    assert len(hs) == 5**k == len(set(hs))
+
+
 def test_breaking_vertices(named):
     B1, T1 = named["B1"], named["T1"]
     assert breaking_vertices(B1, {"a"}) == {"u"}
@@ -47,6 +62,11 @@ def test_breaking_vertices(named):
         assert breaking_vertices(T1, H) == frozenset()
     with pytest.raises(LatticeError, match="not hereditary saturated"):
         breaking_vertices(T1, {"v"})
+    A3 = named["A3"]  # u0 -> u1 -> u2
+    # {u2} is hereditary but not saturated, {u0} saturated but not hereditary
+    for H in ({"u2"}, {"u0"}):
+        with pytest.raises(LatticeError, match="not hereditary saturated"):
+            breaking_vertices(A3, H)
 
 
 def test_enumerate_pairs_counts(named):
@@ -129,6 +149,9 @@ def test_quotient_primed_vertices_are_sinks(corpus):
         lat = lattice_of(g)
         for p in lat.pairs:
             q = quotient(g, p)
+            assert quotient(g, p) is q
+            assert q.exitless == tuple(exitless_cycles(q.graph))
+            assert q.directed == downward_directed(q.graph, q.graph.vertices).holds
             for v in q.primed_vertices():
                 assert q.graph.total_out(v) == 0
 
