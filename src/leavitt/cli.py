@@ -26,6 +26,7 @@ from .serialize import (
 from . import theorems
 
 IDEAL_OPS = ("gr", "power", "limit", "primes-over", "decompose", "factor", "krull")
+LATTICE_OPS = ("primes-over", "decompose", "factor")  # the ideal ops that read the pair lattice
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,8 +76,9 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_ideal(args) -> int:
     g, field = load_graph(args.path, args.field)
-    lattice = enumerate_pairs(g)
     I = parse_ideal_literal(g, field, args.literal)
+    if args.op in LATTICE_OPS:
+        lattice = enumerate_pairs(g)
     out: dict
     if args.op == "gr":
         out = {"op": "gr", "result": pair_to_data(graded_part(I))}

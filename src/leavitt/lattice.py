@@ -26,19 +26,32 @@ VertexSet = frozenset
 
 
 def _bits(g: Graph):
-    """``(index, reach, succ, regular)`` for g, computed once and kept on it.
+    """``(index, reach, succ, regular, emitters)`` for g, computed once and kept on it.
 
     Vertex i of ``g.vertices`` is bit ``1 << i`` and ``index[v] == i``;
     ``reach[i]`` and ``succ[i]`` are the masks of what vertex i reaches and of
-    its successors, and ``regular`` lists the i of the regular vertices.
+    its successors, ``regular`` lists the i of the regular vertices, and
+    ``emitters`` holds ``(i, omega, succ[i])`` for each infinite emitter i,
+    ``omega`` being the mask of the targets of its infinite bundles.
     """
     if g._bits is None:
         index = {v: i for i, v in enumerate(g.vertices)}
-        g._bits = (  # the bits are distinct, so each sum is a union
+
+        def mask(ws):  # the bits are distinct, so the sum is a union
+            return sum(1 << index[w] for w in ws)
+
+        succ = tuple(mask(g.successors(v)) for v in g.vertices)
+        kinds = [classify(g, v) for v in g.vertices]
+        g._bits = (
             index,
-            tuple(sum(1 << index[w] for w in reachable_from(g, v)) for v in g.vertices),
-            tuple(sum(1 << index[w] for w in g.successors(v)) for v in g.vertices),
-            tuple(i for i, v in enumerate(g.vertices) if classify(g, v) == VertexClass.REGULAR),
+            tuple(mask(reachable_from(g, v)) for v in g.vertices),
+            succ,
+            tuple(i for i, k in enumerate(kinds) if k == VertexClass.REGULAR),
+            tuple(
+                (i, mask(w for w, m in g.out_bundles(v) if not is_finite(m)), succ[i])
+                for i, v in enumerate(g.vertices)
+                if kinds[i] == VertexClass.INFINITE_EMITTER
+            ),
         )
     return g._bits
 
@@ -64,7 +77,7 @@ def _close(g: Graph, m: int) -> int:
     hereditary, so no second reach pass is needed.  Infinite emitters are
     never forced in by saturation.
     """
-    _, reach, succ, regular = _bits(g)
+    _, reach, succ, regular, _ = _bits(g)
     h = 0
     for i, r in enumerate(reach):
         if m >> i & 1:
@@ -114,6 +127,19 @@ def enumerate_hs(g: Graph) -> List[VertexSet]:
             return sorted((_names(g, m) for m in found), key=_vkey)
 
 
+def _breaking_mask(g: Graph, h: int) -> int:
+    """Mask of the breaking vertices of the hereditary saturated mask h.
+
+    An infinite emitter outside h breaks h when every infinite bundle it emits
+    ends in h and at least one (finite) bundle leaves h.
+    """
+    out = 0
+    for i, omega, succ in _bits(g)[4]:
+        if not h >> i & 1 and not omega & ~h and succ & ~h:
+            out |= 1 << i
+    return out
+
+
 def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
     """Infinite emitters outside H with finitely many (>=1) edges into E0\\H.
 
@@ -126,16 +152,7 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
     mask = _mask(g, hset)
     if _close(g, mask) != mask:
         raise LatticeError(f"{sorted(hset)} is not hereditary saturated")
-    result = set()
-    for v in g.vertices:
-        if v in hset:
-            continue
-        if is_finite(g.total_out(v)):
-            continue
-        into_complement = sum((m for w, m in g.out_bundles(v) if w not in hset), 0)
-        if is_finite(into_complement) and into_complement > 0:
-            result.add(v)
-    hit = g._breaking[hset] = frozenset(result)
+    hit = g._breaking[hset] = _names(g, _breaking_mask(g, mask))
     return hit
 
 
@@ -191,14 +208,20 @@ class PairLattice:
 
     Graded ideals multiply as they intersect, so the lattice is distributive.
     Meets and joins are closed forms (:func:`closed_form_meet` and
-    :func:`normalize_generators`), and the order is read through upper
-    covers; all three are memoized per lattice.
+    :func:`_normalize`), and the order is read through upper covers; all
+    three are memoized per lattice.  Joins and covers run on the vertex
+    masks ``(h, s)`` of the pairs, computed once here.
     """
 
     def __init__(self, graph: Graph, pairs: List[AdmissiblePair]):
         self.graph = graph
         self.pairs = tuple(sorted(pairs))
         self._index = {p: i for i, p in enumerate(self.pairs)}
+        index = _bits(graph)[0]
+        self._masks = tuple(
+            (sum(1 << index[v] for v in p.h), sum(1 << index[v] for v in p.s)) for p in self.pairs
+        )
+        self._at = {m: i for i, m in enumerate(self._masks)}
         self._meet: Dict[Tuple[int, int], AdmissiblePair] = {}
         self._join: Dict[Tuple[int, int], AdmissiblePair] = {}
         self._covers: Dict[AdmissiblePair, Tuple[AdmissiblePair, ...]] = {}
@@ -232,6 +255,16 @@ class PairLattice:
         except KeyError:
             raise LatticeError(f"{p} is not an admissible pair of this graph") from None
 
+    def _member(self, m: Tuple[int, int], source) -> int:
+        """Index of the pair with masks m; ``source()`` names what produced m."""
+        i = self._at.get(m)
+        if i is None:
+            h, s = (_names(self.graph, x) for x in m)
+            raise InternalInconsistencyError(
+                f"{source()} gives {AdmissiblePair.of(h, s)}, which is not in the lattice"
+            )
+        return i
+
     def proper(self) -> List[AdmissiblePair]:
         t = self.top
         return [p for p in self.pairs if p != t]
@@ -240,17 +273,22 @@ class PairLattice:
         i, j = self.index(a), self.index(b)
         key = (i, j) if i <= j else (j, i)
         if key not in table:
-            table[key] = self.pairs[self.index(compute())]
+            table[key] = compute(i, j)
         return table[key]
 
     def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        return self._memo(self._meet, a, b, lambda: closed_form_meet(self.graph, a, b))
+        return self._memo(
+            self._meet, a, b,
+            lambda i, j: self.pairs[self.index(closed_form_meet(self.graph, a, b))],
+        )
 
     def join(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        return self._memo(
-            self._join, a, b,
-            lambda: normalize_generators(self.graph, a.h_set | b.h_set, a.s_set | b.s_set),
-        )
+        def compute(i, j):
+            (h1, s1), (h2, s2) = self._masks[i], self._masks[j]
+            m = _normalize(self.graph, h1 | h2, s1 | s2)
+            return self.pairs[self._member(m, lambda: f"the join of {a} and {b}")]
+
+        return self._memo(self._join, a, b, compute)
 
     def meet_all(self, items: Iterable[AdmissiblePair]) -> AdmissiblePair:
         """Meet of a family; the empty family meets to the top pair."""
@@ -264,18 +302,23 @@ class PairLattice:
 
         A cover q of p is the join of p with any generator of q not below p:
         a vertex w outside H, or a breaking vertex v of H outside S.  So the
-        covers are the minimal elements among those joins.
+        covers are the minimal elements among those joins, where
+        ``(h1, s1) <= (h2, s2)`` iff ``h1 <= h2`` and ``s1 <= h2 | s2``.
         """
-        if p not in self._covers:
-            self.index(p)
-            g, H = self.graph, p.h_set
-            cands = {normalize_generators(g, H | {w}, p.s) for w in g.vertices if w not in H}
-            cands.update(
-                AdmissiblePair.of(H, p.s_set | {v}) for v in breaking_vertices(g, H) - p.s_set
-            )
-            minimal = (q for q in cands if not any(r != q and r.le(q) for r in cands))
-            self._covers[p] = tuple(sorted(minimal))
-        return self._covers[p]
+        covers = self._covers.get(p)
+        if covers is None:
+            g = self.graph
+            h, s = self._masks[self.index(p)]
+            cands = {_normalize(g, h | 1 << w, s) for w in range(len(g.vertices)) if not h >> w & 1}
+            fresh = _breaking_mask(g, h) & ~s
+            cands.update((h, s | 1 << v) for v in range(fresh.bit_length()) if fresh >> v & 1)
+            minimal = [
+                q for q in cands
+                if not any(r != q and not r[0] & ~q[0] and not r[1] & ~(q[0] | q[1]) for r in cands)
+            ]
+            found = sorted(self._member(q, lambda: f"a cover candidate of {p}") for q in minimal)
+            covers = self._covers[p] = tuple(self.pairs[i] for i in found)
+        return covers
 
     def covered_by_top(self, p: AdmissiblePair) -> bool:
         return self.upper_covers(p) == (self.top,)
@@ -374,27 +417,36 @@ def quotient(g: Graph, p: AdmissiblePair) -> QuotientGraph:
     return hit
 
 
+def _normalize(g: Graph, X: int, T: int) -> Tuple[int, int]:
+    """Masks (h, s) of the least admissible pair over the generator masks X and T.
+
+    X is closed hereditarily and saturatedly; any v in T all of whose
+    out-edges end inside h collapses into h (its v^H plus the removed part
+    reassembles v), and this promotion is iterated to a fixpoint.  The final
+    s is T & B_h.
+    """
+    succ = _bits(g)[2]
+    h = _close(g, X)
+    todo = [i for i in range(T.bit_length()) if T >> i & 1]
+    changed = True
+    while changed:
+        changed = False
+        for i in todo:
+            if not h >> i & 1 and not succ[i] & ~h:
+                h = _close(g, h | 1 << i)
+                changed = True
+    return h, T & _breaking_mask(g, h)
+
+
 def normalize_generators(g: Graph, X: Iterable[str], T: Iterable[str]) -> AdmissiblePair:
     """Least admissible pair whose ideal contains X and the v^H for v in T.
 
-    The vertices of X are closed hereditarily and saturatedly; any v in T all
-    of whose remaining out-edges end inside H collapses into H (its v^H plus
-    the removed part reassembles v), and this promotion is iterated to a
-    fixpoint.  The final S is T & B_H.
+    T must consist of infinite emitters; see :func:`_normalize`.
     """
+    T = list(T)
     for v in T:
         g._check(v)
         if is_finite(g.total_out(v)):
             raise LatticeError(f"{v!r} is not an infinite emitter")
-    index, _, succ, _ = _bits(g)
-    H = _close(g, _mask(g, X))
-    tset = frozenset(T)
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(index[v] for v in tset):
-            if not H >> i & 1 and not succ[i] & ~H:
-                H = _close(g, H | 1 << i)
-                changed = True
-    hset = _names(g, H)
-    return AdmissiblePair.of(hset, tset & breaking_vertices(g, hset))
+    h, s = _normalize(g, _mask(g, X), _mask(g, T))
+    return AdmissiblePair.of(_names(g, h), _names(g, s))

@@ -13,7 +13,8 @@ decomposition, distinct-degree splitting and seeded Cantor-Zassenhaus;
 factorization over the rationals is Zassenhaus's: the same GF(p) pipeline
 modulo a small prime, Hensel lifting and recombination of the lifted factors.
 It is limited to degree 8 (inputs beyond that are rejected loudly), which
-bounds the recombination at 2^8 trial divisors.
+bounds the recombination at 2^8 trial divisors.  Factorizations are memoized
+on the unit-free canonical associate, for the last 16 distinct inputs.
 """
 
 from __future__ import annotations
@@ -24,11 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
-from typing import Dict, Iterable, List, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import InternalInconsistencyError, LaurentError
 
 _Q_FACTOR_DEGREE_BOUND = 8
+# Enough for the test polynomials and factors that one analysis factors over
+# and over (ROADMAP, memoized `factor`, says why the memo is not larger).
+_FACTOR_MEMO_SIZE = 16
+_factor_memo: Dict["LaurentPoly", Mapping] = {}  # insertion order: the oldest entry goes first
 
 
 def _is_prime(n: int) -> bool:
@@ -686,18 +692,22 @@ def _q_factor(q: Tuple[Fraction, ...]) -> Dict[Tuple, int]:
     return out
 
 
-def factor(f: LaurentPoly) -> Dict[LaurentPoly, int]:
-    """Irreducible canonical factors with multiplicities.
+def factor(f: LaurentPoly) -> Mapping[LaurentPoly, int]:
+    """Irreducible canonical factors with multiplicities, as a read-only mapping.
 
     Monomial units have no factors; the product of the factors always
-    reconstructs the unit-free canonical associate of f (checked).
+    reconstructs the unit-free canonical associate of f (checked when it is
+    first computed).  Results are memoized on that associate.
     """
     if f.is_zero:
         raise LaurentError("cannot factor the zero polynomial")
-    c = f.canon()
+    c = f.unit_free()
+    hit = _factor_memo.get(c)
+    if hit is not None:
+        return hit
     if c.is_unit:
-        return {}
-    if isinstance(f.field, Rationals):
+        raw = {}
+    elif isinstance(f.field, Rationals):
         raw = _q_factor(c.coeffs)
     else:
         raw = _fp_factor(f.field, c.coeffs)
@@ -708,9 +718,12 @@ def factor(f: LaurentPoly) -> Dict[LaurentPoly, int]:
     check = LaurentPoly.one(f.field)
     for g, mult in out.items():
         check = check * g**mult
-    if check != c.unit_free():
+    if check != c:
         raise InternalInconsistencyError(f"factorization of {f} does not reconstruct the input")
-    return out
+    if len(_factor_memo) >= _FACTOR_MEMO_SIZE:
+        del _factor_memo[next(iter(_factor_memo))]
+    hit = _factor_memo[c] = MappingProxyType(out)
+    return hit
 
 
 def is_irreducible(f: LaurentPoly) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FactorizationError, IdealError, InternalInconsistencyError
 from .graphs import Graph, condition_K, reaches
@@ -158,23 +158,24 @@ def standard_test_polys(fld=QQ) -> Tuple[LaurentPoly, ...]:
     return (one_x, one_x * one_x, one_x2, one_x * one_x2)
 
 
-def sample_ideal_family(g: Graph, lattice: PairLattice, fld=QQ) -> List[IdealRep]:
-    """Proper lattice ideals plus sampled non-graded ideals.
+def sample_ideal_family(g: Graph, lattice: PairLattice, fld=QQ) -> Iterator[IdealRep]:
+    """Proper lattice ideals plus sampled non-graded ideals, generated lazily.
 
     For every pair whose quotient has an exitless cycle, one ideal per cycle
     and test polynomial is generated; on graphs satisfying Condition (K) the
-    family is exactly the proper graded lattice.
+    family is exactly the proper graded lattice.  Members are built as they
+    are drawn, so a caller that stops at its first failure builds no more.
     """
-    ideals = [rep(p) for p in lattice.proper()]
-    seen = set(ideals)
+    for p in lattice.proper():
+        yield rep(p)
+    seen = set()
     for pair in lattice.pairs:
         for cyc in quotient(g, pair).exitless:
             for poly in standard_test_polys(fld):
                 I = make(g, pair, {cyc: poly})
                 if I not in seen:
                     seen.add(I)
-                    ideals.append(I)
-    return ideals
+                    yield I
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,20 @@ def random_dag(rng: random.Random, max_vertices: int = 8) -> Graph:
     return Graph(vs, bundles)
 
 
+def forks(k: int) -> Graph:
+    """k disjoint forks u -omega-> a, u -1-> b: 6^k admissible pairs."""
+    bundles = {}
+    for i in range(k):
+        bundles[(f"u{i}", f"a{i}")] = OMEGA
+        bundles[(f"u{i}", f"b{i}")] = 1
+    return Graph([f"{x}{i}" for i in range(k) for x in "uab"], bundles)
+
+
+def loops(k: int) -> Graph:
+    """k disjoint single loops: 2^k admissible pairs, Condition (K) fails."""
+    return Graph([f"l{i}" for i in range(k)], {(f"l{i}", f"l{i}"): 1 for i in range(k)})
+
+
 def named_graphs():
     return {
         "L1": single_loop(),

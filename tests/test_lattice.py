@@ -19,7 +19,7 @@ from leavitt.lattice import (
     top_pair,
 )
 
-from conftest import lattice_of
+from conftest import forks, lattice_of
 
 
 def hs_sets(g):
@@ -41,17 +41,25 @@ def test_enumerate_hs_small_graphs(named):
 
 
 def test_enumerate_hs_forks_is_fast():
-    # five disjoint forks u -omega-> a, u -1-> b: each has the 5 HS sets of B1
+    # five disjoint forks: each has the 5 HS sets of B1
     k = 5
-    bundles = {}
-    for i in range(k):
-        bundles[(f"u{i}", f"a{i}")] = OMEGA
-        bundles[(f"u{i}", f"b{i}")] = 1
-    g = Graph([f"{x}{i}" for i in range(k) for x in "uab"], bundles)
+    g = forks(k)
     start = time.process_time()
     hs = enumerate_hs(g)
     assert time.process_time() - start < 1.0
     assert len(hs) == 5**k == len(set(hs))
+
+
+def test_cover_outside_the_lattice_is_an_inconsistency(named):
+    from leavitt.errors import InternalInconsistencyError
+    from leavitt.lattice import PairLattice
+
+    B1 = named["B1"]
+    lat = lattice_of(B1)
+    dropped = AdmissiblePair.of({"a"}, ())
+    partial = PairLattice(B1, [p for p in lat.pairs if p != dropped])
+    with pytest.raises(InternalInconsistencyError, match=r"\(\{a\}, \{\}\)"):
+        partial.upper_covers(bottom_pair())
 
 
 def test_breaking_vertices(named):

@@ -107,6 +107,35 @@ def test_degree_bound_over_q():
         factor(f)
 
 
+def test_factor_is_memoized_and_read_only(monkeypatch):
+    from leavitt import laurent
+
+    for fld, text in ((QQ, "3+x+4x^2+x^5"), (F5, "2+x+3x^2+x^4")):
+        f = parse_poly(fld, text) * parse_poly(fld, "1+x") ** 2
+        first = factor(f)
+
+        def unreachable(*args):
+            raise AssertionError("a repeated factor call reached the factoring pipeline")
+
+        with monkeypatch.context() as m:
+            m.setattr(laurent, "_q_factor", unreachable)
+            m.setattr(laurent, "_fp_factor", unreachable)
+            # an associate of f: another scalar and monomial unit
+            again = factor(f * LaurentPoly.from_coeffs(fld, [3], shift=-2))
+        assert again == first
+        with pytest.raises(TypeError):
+            again[parse_poly(fld, "1+x")] = 7
+        assert factor(f) == first
+
+
+def test_factor_memo_is_bounded():
+    from leavitt import laurent
+
+    for k in range(laurent._FACTOR_MEMO_SIZE + 20):
+        factor(LaurentPoly.from_coeffs(QQ, [k + 1, 1]))
+    assert len(laurent._factor_memo) == laurent._FACTOR_MEMO_SIZE
+
+
 def test_factor_products_of_quartics():
     """Quartic pairs whose products have large values at small integers, so a
     divisor-interpolation search would face about a million candidates."""

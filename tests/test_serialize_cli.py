@@ -196,6 +196,19 @@ def test_cli_internal_inconsistency_exit_code(graph_files, capsys, monkeypatch):
     assert rc == 3 and "internal inconsistency" in err
 
 
+def test_cli_lattice_free_ideal_ops_skip_the_lattice(graph_files, capsys, monkeypatch):
+    from leavitt import lattice
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the pair lattice was enumerated")
+
+    monkeypatch.setattr(lattice, "enumerate_pairs", boom)
+    monkeypatch.setattr(cli, "enumerate_pairs", boom)
+    for op in (["gr"], ["power", "2"], ["limit"], ["krull"]):
+        rc, out, _ = run_cli(capsys, "ideal", graph_files["T1"], A_LITERAL, *op)
+        assert rc == 0 and out.startswith(op[0])
+
+
 def test_cli_stdin_and_field_override(graph_files, capsys, monkeypatch):
     text = json.dumps(graph_to_data(named_graph("L1"), QQ))
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

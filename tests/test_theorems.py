@@ -29,7 +29,7 @@ from leavitt.theorems import (
     uniqueness_check,
 )
 
-from conftest import lattice_of
+from conftest import lattice_of, loops
 
 ONE_X = parse_poly(QQ, "1+x")
 ONE_X2 = parse_poly(QQ, "1+x^2")
@@ -192,6 +192,24 @@ def test_everything_prime(named):
     r = everything_prime_check(T1, lattice_of(T1))
     assert not (r.all_ideals_prime or r.graph_criterion or r.graded_chain) and r.agree
     assert everything_prime_check(C4, lattice_of(C4)).all_ideals_prime
+
+
+def test_everything_prime_check_stops_at_the_first_failure(monkeypatch):
+    # the bottom of loops(7) has seven covers, so the first sampled ideal is
+    # not prime; the family must not be built beyond it
+    from leavitt import theorems
+
+    g = loops(7)
+    calls = []
+
+    def counting_make(*args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, "make", counting_make)
+    r = everything_prime_check(g, lattice_of(g))
+    assert not r.all_ideals_prime and r.agree
+    assert len(calls) < 10
 
 
 def test_prime_always_exists(named):
