@@ -7,6 +7,7 @@ internal cross-check fails (which indicates a bug, never bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,7 +30,9 @@ IDEAL_OPS = ("gr", "power", "limit", "primes-over", "decompose", "factor", "krul
 LATTICE_OPS = ("primes-over", "decompose", "factor")  # the ideal ops that read the pair lattice
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="leavitt",
         description="Ideal-lattice analysis of Leavitt path algebras of finite graphs.",
@@ -157,7 +160,7 @@ def _ideal_text(out: dict) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)

@@ -128,7 +128,10 @@ class Cycle:
 class Graph:
     """Immutable directed multigraph over string vertex identifiers."""
 
-    __slots__ = ("vertices", "bundles", "_out", "_in", "_reach", "_breaking", "_bits", "_quotients")
+    __slots__ = (
+        "vertices", "bundles", "_out", "_in", "_reach", "_breaking", "_bits", "_quotients",
+        "_quotient_table", "_condition_K",
+    )
 
     def __init__(self, vertices: Iterable[str], bundles: Mapping[Tuple[str, str], Multiplicity]):
         vs = list(vertices)
@@ -159,6 +162,8 @@ class Graph:
         self._breaking = {}  # hereditary saturated set -> its breaking vertices
         self._bits = None  # vertex bitmasks, built by the lattice module on first use
         self._quotients = {}  # admissible pair -> its quotient graph
+        self._quotient_table = None  # per-graph quotient facts, built by the lattice module
+        self._condition_K = None  # the Condition (K) report, decided on first use
 
     def __contains__(self, v: str) -> bool:
         return v in self._out
@@ -351,9 +356,9 @@ def condition_K(g: Graph) -> ConditionReport:
     """Condition (K): no vertex is the base of exactly one closed simple path.
 
     The witness is the first vertex (in lexicographic order) based at
-    exactly one closed simple path.
+    exactly one closed simple path.  Decided once per graph.
     """
-    for v in g.vertices:
-        if simple_closed_path_count(g, v) == 1:
-            return ConditionReport(False, v)
-    return ConditionReport(True, None)
+    if g._condition_K is None:
+        witness = next((v for v in g.vertices if simple_closed_path_count(g, v) == 1), None)
+        g._condition_K = ConditionReport(witness is None, witness)
+    return g._condition_K

@@ -260,9 +260,8 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
     downward directed, and a full-S pair over a downward directed complement
     must be prime.  Any disagreement aborts.
     """
-    cached = lattice.cache.get("prime_flags")
-    if cached is not None:
-        return cached
+    if lattice._prime_flags is not None:
+        return lattice._prime_flags
     flags = {}
     for p in lattice.pairs:
         meet_prime = p == lattice.top or len(lattice.upper_covers(p)) == 1
@@ -277,7 +276,7 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
                 f"{p} has S = B_H over a downward directed complement but is not meet-prime"
             )
         flags[p] = meet_prime
-    lattice.cache["prime_flags"] = flags
+    lattice._prime_flags = flags
     return flags
 
 

@@ -7,20 +7,21 @@ The pairs are ordered by ``(H1,S1) <= (H2,S2) iff H1 <= H2 and S1 <= H2|S2``
 and form a finite distributive lattice.  Vertex sets are handled as int
 bitmasks, the hereditary saturated sets are listed by Ganter's NextClosure,
 meets and joins come from closed forms and the order is read through upper
-covers.  Quotient graphs are memoized on the graph per pair.
+covers.  Quotients are memoized on the graph per pair.  Their downward
+directedness and exitless cycles are read off vertex masks, from the terminal
+strongly connected components of E \\ H (found once per H); the quotient
+graph itself is built only when it is asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InternalInconsistencyError, LatticeError
-from .graphs import (
-    Graph, VertexClass, classify, downward_directed, exitless_cycles, is_finite, reachable_from,
-)
+from .graphs import Cycle, Graph, VertexClass, classify, is_finite
 
 VertexSet = frozenset
 
@@ -44,7 +45,7 @@ def _bits(g: Graph):
         kinds = [classify(g, v) for v in g.vertices]
         g._bits = (
             index,
-            tuple(mask(reachable_from(g, v)) for v in g.vertices),
+            tuple(_reach_mask(succ, i) for i in range(len(succ))),
             succ,
             tuple(i for i, k in enumerate(kinds) if k == VertexClass.REGULAR),
             tuple(
@@ -54,6 +55,26 @@ def _bits(g: Graph):
             ),
         )
     return g._bits
+
+
+def _ones(m: int) -> Iterator[int]:
+    """The set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _reach_mask(succ: Tuple[int, ...], i: int) -> int:
+    """Mask of the vertices reachable from vertex i, itself included: BFS over successor masks."""
+    seen = frontier = 1 << i
+    while frontier:
+        step = 0
+        for j in _ones(frontier):
+            step |= succ[j]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 def _mask(g: Graph, X: Iterable[str]) -> int:
@@ -225,7 +246,7 @@ class PairLattice:
         self._meet: Dict[Tuple[int, int], AdmissiblePair] = {}
         self._join: Dict[Tuple[int, int], AdmissiblePair] = {}
         self._covers: Dict[AdmissiblePair, Tuple[AdmissiblePair, ...]] = {}
-        self.cache: Dict[str, object] = {}
+        self._prime_flags: Optional[Dict[AdmissiblePair, bool]] = None  # see ideals._graded_prime_flags
 
     def __len__(self):
         return len(self.pairs)
@@ -311,7 +332,7 @@ class PairLattice:
             h, s = self._masks[self.index(p)]
             cands = {_normalize(g, h | 1 << w, s) for w in range(len(g.vertices)) if not h >> w & 1}
             fresh = _breaking_mask(g, h) & ~s
-            cands.update((h, s | 1 << v) for v in range(fresh.bit_length()) if fresh >> v & 1)
+            cands.update((h, s | 1 << v) for v in _ones(fresh))
             minimal = [
                 q for q in cands
                 if not any(r != q and not r[0] & ~q[0] and not r[1] & ~(q[0] | q[1]) for r in cands)
@@ -348,26 +369,114 @@ def closed_form_meet(g: Graph, a: AdmissiblePair, b: AdmissiblePair) -> Admissib
     return out
 
 
-@dataclass(frozen=True)
+def _quotient_table(g: Graph):
+    """``(coreach, ones, per_h, cycles)`` for g, computed once and kept on it.
+
+    ``coreach[i]`` is the mask of the vertices that reach vertex i, and
+    ``ones[i]`` the mask of the targets of i's bundles of multiplicity 1;
+    ``per_h`` memoizes :func:`_h_facts` per hereditary saturated mask and
+    ``cycles`` the :class:`Cycle` on each vertex mask, so each is built once.
+    """
+    if g._quotient_table is None:
+        index, reach = _bits(g)[:2]
+        coreach = [0] * len(reach)
+        for j, r in enumerate(reach):
+            for i in _ones(r):
+                coreach[i] |= 1 << j
+        ones = tuple(
+            sum(1 << index[w] for w, m in g.out_bundles(v) if m == 1) for v in g.vertices
+        )
+        g._quotient_table = (tuple(coreach), ones, {}, {})
+    return g._quotient_table
+
+
+def _h_facts(g: Graph, h: int):
+    """``(terminals, cycles)`` of E \\ H for the hereditary saturated mask h.
+
+    ``terminals`` are the masks of the terminal strongly connected components
+    of E \\ H.  As H is hereditary, u outside H reaches within E \\ H what it
+    reaches in E outside H, and whatever reaches u lies outside H; so u is in
+    a terminal component iff everything it reaches outside H reaches u back.
+    ``cycles`` pairs the mask and :class:`Cycle` of each exitless cycle of
+    E \\ H, in canonical order: these are the terminal components in which
+    every vertex has exactly one edge, of multiplicity 1, outside H.
+    """
+    coreach, ones, per_h, made = _quotient_table(g)
+    facts = per_h.get(h)
+    if facts is None:
+        _, reach, succ, _, _ = _bits(g)
+
+        def single(out, ones_j):  # one edge, of multiplicity 1
+            return out and not out & (out - 1) and not out & ~ones_j
+
+        terminals, cycles, seen = [], [], h
+        for i in range(len(reach)):
+            if seen >> i & 1 or reach[i] & ~h & ~coreach[i]:
+                continue
+            comp = reach[i] & coreach[i]
+            seen |= comp
+            terminals.append(comp)
+            if all(single(succ[j] & ~h, ones[j]) for j in _ones(comp)):
+                cycle = made.get(comp)
+                if cycle is None:
+                    walk, j = [], i
+                    while not walk or j != i:
+                        walk.append(g.vertices[j])
+                        j = (succ[j] & comp).bit_length() - 1
+                    cycle = made[comp] = Cycle.from_vertices(walk)
+                cycles.append((comp, cycle))
+        cycles.sort(key=lambda mc: mc[1])
+        facts = per_h[h] = (tuple(terminals), tuple(cycles))
+    return facts
+
+
 class QuotientGraph:
     """Quotient of a graph by an admissible pair.
 
-    ``provenance`` maps each quotient vertex to ``(original, primed)``; primed
-    vertices are added for breaking vertices left out of S and are sinks.
+    ``directed`` (whether the vertex set is downward directed) and
+    ``exitless`` (the exitless cycles, in canonical order) are read off vertex
+    masks when the quotient is made; ``graph`` and ``provenance`` are built on
+    first use.  ``provenance`` maps each quotient vertex to ``(original,
+    primed)``; primed vertices are added for breaking vertices left out of S
+    and are sinks.  A quotient keeps the parent's vertices and bundles, never
+    the parent :class:`Graph`, which memoizes its quotients.
     """
 
-    graph: Graph
-    provenance: Dict[str, Tuple[str, bool]] = field(default_factory=dict)
+    def __init__(self, directed: bool, exitless: Tuple[Cycle, ...], source):
+        self.directed = directed
+        self.exitless = exitless
+        self._source = source  # (vertices, bundles, H, the breaking vertices outside S)
 
     @cached_property
-    def exitless(self) -> Tuple:
-        """The exitless cycles of the quotient graph, in canonical order."""
-        return tuple(exitless_cycles(self.graph))
+    def _built(self) -> Tuple[Graph, Dict[str, Tuple[str, bool]]]:
+        vertices, parent_bundles, hset, unprimed = self._source
+        survivors = [v for v in vertices if v not in hset]
+        primed_of = {}
+        taken = set(survivors)
+        for v in unprimed:
+            name = _primed_name(v, taken)
+            primed_of[v] = name
+            taken.add(name)
+        bundles = {}
+        for (src, dst), mult in parent_bundles.items():
+            if dst in hset:
+                continue
+            if src in hset:
+                raise InternalInconsistencyError("hereditary set emits into its complement")
+            bundles[(src, dst)] = mult
+            if dst in primed_of:
+                bundles[(src, primed_of[dst])] = mult
+        provenance = {v: (v, False) for v in survivors}
+        provenance.update({name: (v, True) for v, name in primed_of.items()})
+        return Graph(sorted(taken), bundles), provenance
 
-    @cached_property
-    def directed(self) -> bool:
-        """Whether the quotient's vertex set is downward directed."""
-        return downward_directed(self.graph, self.graph.vertices).holds
+    @property
+    def graph(self) -> Graph:
+        return self._built[0]
+
+    @property
+    def provenance(self) -> Dict[str, Tuple[str, bool]]:
+        return self._built[1]
 
     def primed_vertices(self) -> List[str]:
         return sorted(v for v, (_, primed) in self.provenance.items() if primed)
@@ -387,6 +496,13 @@ def quotient(g: Graph, p: AdmissiblePair) -> QuotientGraph:
     outside S; bundles with target outside H survive, and each bundle into a
     breaking vertex outside S is duplicated onto its primed sink.  Memoized
     on the graph per pair.
+
+    With D the breaking vertices outside S, the terminal strongly connected
+    components of the quotient are the primed sinks and the terminal
+    components of E \\ H that miss D (one that meets D has an edge to a
+    primed sink); the vertex set is downward directed iff there is at most
+    one.  Its exitless cycles are those of E \\ H that miss D, since a
+    predecessor of a vertex of D gains the edge to the primed copy.
     """
     hit = g._quotients.get(p)
     if hit is not None:
@@ -395,25 +511,12 @@ def quotient(g: Graph, p: AdmissiblePair) -> QuotientGraph:
     bh = breaking_vertices(g, hset)
     if not sset <= bh:
         raise LatticeError(f"invalid pair {p} for this graph")
-    survivors = [v for v in g.vertices if v not in hset]
-    primed_of = {}
-    taken = set(survivors)
-    for v in sorted(bh - sset):
-        name = _primed_name(v, taken)
-        primed_of[v] = name
-        taken.add(name)
-    bundles = {}
-    for (src, dst), mult in g.bundles.items():
-        if dst in hset:
-            continue
-        if src in hset:
-            raise InternalInconsistencyError("hereditary set emits into its complement")
-        bundles[(src, dst)] = mult
-        if dst in primed_of:
-            bundles[(src, primed_of[dst])] = mult
-    provenance = {v: (v, False) for v in survivors}
-    provenance.update({name: (v, True) for v, name in primed_of.items()})
-    hit = g._quotients[p] = QuotientGraph(Graph(sorted(taken), bundles), provenance)
+    unprimed = _vkey(bh - sset)
+    h, d = _mask(g, p.h), _mask(g, unprimed)
+    terminals, cycles = _h_facts(g, h)
+    directed = sum(1 for t in terminals if not t & d) + d.bit_count() <= 1
+    exitless = tuple(c for m, c in cycles if not m & d)
+    hit = g._quotients[p] = QuotientGraph(directed, exitless, (g.vertices, g.bundles, hset, unprimed))
     return hit
 
 
@@ -427,7 +530,7 @@ def _normalize(g: Graph, X: int, T: int) -> Tuple[int, int]:
     """
     succ = _bits(g)[2]
     h = _close(g, X)
-    todo = [i for i in range(T.bit_length()) if T >> i & 1]
+    todo = list(_ones(T))
     changed = True
     while changed:
         changed = False

@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from leavitt import graphs
+from leavitt.catalog import chain_of_roses
 from leavitt.errors import GraphError
 from leavitt.graphs import (
     OMEGA,
@@ -167,6 +169,13 @@ def test_condition_K(named):
     assert condition_K(named["C2"]).holds
     assert condition_K(named["A3"]).holds
     assert not condition_K(named["T1"]).holds
+
+
+def test_condition_K_is_decided_once_per_graph(monkeypatch):
+    g = chain_of_roses(3)
+    first = condition_K(g)
+    monkeypatch.setattr(graphs, "simple_closed_path_count", None)
+    assert condition_K(g) is first and first.holds
 
 
 def test_condition_K_implies_condition_L(corpus):

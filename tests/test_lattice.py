@@ -6,13 +6,14 @@ import time
 import pytest
 
 from leavitt.errors import LatticeError
-from leavitt.graphs import Graph, OMEGA, downward_directed, exitless_cycles
+from leavitt.graphs import Cycle, Graph, OMEGA, downward_directed, exitless_cycles
 from leavitt.lattice import (
     AdmissiblePair,
     admissible_pair,
     bottom_pair,
     breaking_vertices,
     enumerate_hs,
+    enumerate_pairs,
     hereditary_saturated_closure,
     normalize_generators,
     quotient,
@@ -162,6 +163,39 @@ def test_quotient_primed_vertices_are_sinks(corpus):
             assert q.directed == downward_directed(q.graph, q.graph.vertices).holds
             for v in q.primed_vertices():
                 assert q.graph.total_out(v) == 0
+
+
+def test_quotient_exitless_cycles_depend_on_S():
+    # u is a breaking vertex of {h}; left out of S, its primed copy gives w a second edge
+    g = Graph(["h", "u", "w"], {("u", "h"): OMEGA, ("u", "w"): 1, ("w", "u"): 1})
+    kept = quotient(g, admissible_pair(g, {"h"}, {"u"}))
+    primed = quotient(g, admissible_pair(g, {"h"}, ()))
+    assert kept.exitless == (Cycle.from_vertices(["u", "w"]),)
+    assert primed.exitless == ()
+    assert kept.directed and primed.directed
+    assert kept.exitless == tuple(exitless_cycles(kept.graph))
+    assert dict(primed.graph.bundles) == {("u", "w"): 1, ("w", "u"): 1, ("w", "u'"): 1}
+
+
+def _sparse_graph(rng: random.Random) -> Graph:
+    """At most 9 vertices, sparse enough for exitless cycles, omega bundles for breaking vertices."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 9))]
+    density = rng.uniform(0.08, 0.35)
+    return Graph(vs, {
+        (v, w): rng.choice([1, 1, 1, 2, OMEGA, OMEGA])
+        for v in vs for w in vs if rng.random() < density
+    })
+
+
+def test_quotient_mask_facts_match_the_built_graph():
+    # the corpus is compared in test_quotient_primed_vertices_are_sinks
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        g = _sparse_graph(rng)
+        for p in enumerate_pairs(g).pairs:
+            q = quotient(g, p)
+            assert q.exitless == tuple(exitless_cycles(q.graph)), (dict(g.bundles), p)
+            assert q.directed == downward_directed(q.graph, q.graph.vertices).holds, (dict(g.bundles), p)
 
 
 def test_quotient_duplicates_bundles_into_primed_sinks():

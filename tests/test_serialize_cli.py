@@ -1,5 +1,6 @@
 """File formats, ideal literals, DOT output and the command line."""
 
+import gc
 import io
 import json
 
@@ -7,7 +8,8 @@ import pytest
 
 from leavitt.catalog import named_graph
 from leavitt.errors import GraphError, IdealError, InternalInconsistencyError
-from leavitt.graphs import OMEGA
+from leavitt.graphs import Graph, OMEGA
+from leavitt.lattice import QuotientGraph
 from leavitt.laurent import QQ, GF
 from leavitt.serialize import (
     graph_from_data,
@@ -20,7 +22,7 @@ from leavitt.serialize import (
 from leavitt.theorems import sample_ideal_family
 from leavitt import cli
 
-from conftest import lattice_of
+from conftest import forks, lattice_of
 
 
 @pytest.fixture()
@@ -215,3 +217,48 @@ def test_cli_stdin_and_field_override(graph_files, capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "analyze", "-", "--field", "Fp:5", "--json")
     assert rc == 0
     assert json.loads(out)["field"] == "Fp:5"
+
+
+@pytest.fixture()
+def forks3_file(tmp_path):
+    path = tmp_path / "forks3.json"
+    path.write_text(json.dumps(graph_to_data(forks(3), QQ)))
+    return str(path)
+
+
+def test_cli_reports_build_no_quotient_graph(forks3_file, capsys, monkeypatch):
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    for argv in (["analyze", forks3_file, "--json"], ["lattice", forks3_file, "--dot"]):
+        built.clear()
+        rc, _, _ = run_cli(capsys, *argv)
+        assert rc == 0 and len(built) == 1, argv  # the loaded graph only
+
+
+def test_cli_memos_make_no_reference_cycles(forks3_file, capsys):
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        rc, _, _ = run_cli(capsys, "analyze", forks3_file)
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, (Graph, QuotientGraph))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert rc == 0 and not cyclic
+
+
+def test_cli_builds_the_parser_once(graph_files, capsys):
+    cli._parser.cache_clear()
+    for _ in range(2):
+        rc, _, _ = run_cli(capsys, "lattice", graph_files["L1"])
+        assert rc == 0
+    assert cli._parser.cache_info().misses == 1
