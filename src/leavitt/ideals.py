@@ -34,6 +34,8 @@ from .lattice import (
     closed_form_meet,
     quotient,
     top_pair,
+    _breaking_mask,
+    _quotient,
 )
 
 Component = Tuple[Cycle, LaurentPoly]
@@ -263,14 +265,15 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
     if lattice._prime_flags is not None:
         return lattice._prime_flags
     flags = {}
-    for p in lattice.pairs:
-        meet_prime = p == lattice.top or len(lattice.upper_covers(p)) == 1
-        dd = quotient(g, p).directed
+    top = lattice.top
+    for p, (h, s) in zip(lattice.pairs, lattice._masks):
+        meet_prime = p == top or len(lattice.upper_covers(p)) == 1
+        dd = _quotient(g, p, h, s).directed
         if meet_prime and not dd:
             raise InternalInconsistencyError(
                 f"{p} is meet-prime but its quotient vertex set is not downward directed"
             )
-        full_s = p.s_set == breaking_vertices(g, p.h_set)
+        full_s = s == _breaking_mask(g, h)
         if full_s and dd and not meet_prime:
             raise InternalInconsistencyError(
                 f"{p} has S = B_H over a downward directed complement but is not meet-prime"
@@ -319,8 +322,15 @@ def is_prime(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeWitness:
             "reducible-polynomial",
             tuple(sorted(fac.items(), key=lambda kv: kv[0].sort_key())),
         )
-    complement = [v for v in g.vertices if v not in I.graded.h_set]
-    report = downward_directed(g, complement)
+    return _directed_complement(g, I.graded)
+
+
+def _directed_complement(g: Graph, pair: AdmissiblePair) -> PrimeWitness:
+    """Verdict on an ideal with one irreducible component over the full-S pair.
+
+    Such an ideal is prime iff the vertices outside H are downward directed.
+    """
+    report = downward_directed(g, [v for v in g.vertices if v not in pair.h_set])
     if not report.holds:
         return PrimeWitness(False, "quotient-not-downward-directed", report.witness)
     return PrimeWitness(True)

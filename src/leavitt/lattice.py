@@ -6,18 +6,19 @@ by H and the elements ``v - sum(e e* : s(e)=v, r(e) not in H)`` for v in S.
 The pairs are ordered by ``(H1,S1) <= (H2,S2) iff H1 <= H2 and S1 <= H2|S2``
 and form a finite distributive lattice.  Vertex sets are handled as int
 bitmasks, the hereditary saturated sets are listed by Ganter's NextClosure,
-meets and joins come from closed forms and the order is read through upper
-covers.  Quotients are memoized on the graph per pair.  Their downward
-directedness and exitless cycles are read off vertex masks, from the terminal
-strongly connected components of E \\ H (found once per H); the quotient
-graph itself is built only when it is asked for.
+and meets and joins come from closed forms.  The order is read through upper
+covers, found for every pair at once by Birkhoff's representation: each pair
+is the down-set of join-irreducible pairs below it, and its covers add one
+minimal join-irreducible outside.  Quotients are memoized on the graph per
+pair.  Their downward directedness and exitless cycles are read off vertex
+masks, from the terminal strongly connected components of E \\ H (found once
+per H); the quotient graph itself is built only when it is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InternalInconsistencyError, LatticeError
@@ -122,13 +123,12 @@ def _vkey(s: Iterable[str]) -> Tuple[str, ...]:
     return tuple(sorted(s))
 
 
-def enumerate_hs(g: Graph) -> List[VertexSet]:
-    """All hereditary saturated subsets, sorted by their sorted vertex tuple.
+def _hs_masks(g: Graph) -> List[int]:
+    """The masks of all hereditary saturated sets, in lectic order.
 
     Ganter's NextClosure, one closure per candidate: the next set after A is
     the first closure of (A below i) + i, for i from the last vertex down,
-    that adds nothing below i.  The oracle suite checks the family against
-    the brute-force filter over all subsets.
+    that adds nothing below i.
     """
     n = len(g.vertices)
     A = _close(g, 0)
@@ -145,7 +145,16 @@ def enumerate_hs(g: Graph) -> List[VertexSet]:
                 found.append(B)
                 break
         else:
-            return sorted((_names(g, m) for m in found), key=_vkey)
+            return found
+
+
+def enumerate_hs(g: Graph) -> List[VertexSet]:
+    """All hereditary saturated subsets, sorted by their sorted vertex tuple.
+
+    The family comes from :func:`_hs_masks`; the oracle suite checks it
+    against the brute-force filter over all subsets.
+    """
+    return sorted((_names(g, m) for m in _hs_masks(g)), key=_vkey)
 
 
 def _breaking_mask(g: Graph, h: int) -> int:
@@ -229,14 +238,15 @@ class PairLattice:
 
     Graded ideals multiply as they intersect, so the lattice is distributive.
     Meets and joins are closed forms (:func:`closed_form_meet` and
-    :func:`_normalize`), and the order is read through upper covers; all
-    three are memoized per lattice.  Joins and covers run on the vertex
-    masks ``(h, s)`` of the pairs, computed once here.
+    :func:`_normalize`), memoized per lattice, and the order is read through
+    upper covers, found for every pair at once from the join-irreducibles
+    (see ``_covers``).  Joins and covers run on the vertex masks
+    ``(h, s)`` of the pairs, computed once here.
     """
 
     def __init__(self, graph: Graph, pairs: List[AdmissiblePair]):
         self.graph = graph
-        self.pairs = tuple(sorted(pairs))
+        self.pairs = tuple(sorted(pairs, key=lambda p: (p.h, p.s)))  # the dataclass order, on plain tuples
         self._index = {p: i for i, p in enumerate(self.pairs)}
         index = _bits(graph)[0]
         self._masks = tuple(
@@ -245,7 +255,6 @@ class PairLattice:
         self._at = {m: i for i, m in enumerate(self._masks)}
         self._meet: Dict[Tuple[int, int], AdmissiblePair] = {}
         self._join: Dict[Tuple[int, int], AdmissiblePair] = {}
-        self._covers: Dict[AdmissiblePair, Tuple[AdmissiblePair, ...]] = {}
         self._prime_flags: Optional[Dict[AdmissiblePair, bool]] = None  # see ideals._graded_prime_flags
 
     def __len__(self):
@@ -261,14 +270,14 @@ class PairLattice:
     def bottom(self) -> AdmissiblePair:
         return self.pairs[self._index[bottom_pair()]]
 
-    @property
+    @cached_property
     def top(self) -> AdmissiblePair:
         return top_pair(self.graph)
 
-    @property
-    def hs_sets(self) -> List[VertexSet]:
+    @cached_property
+    def hs_sets(self) -> Tuple[VertexSet, ...]:
         """The hereditary saturated sets in :func:`enumerate_hs` order: the H of each (H, {})."""
-        return [p.h_set for p in self.pairs if not p.s]
+        return tuple(p.h_set for p in self.pairs if not p.s)
 
     def index(self, p: AdmissiblePair) -> int:
         try:
@@ -280,15 +289,21 @@ class PairLattice:
         """Index of the pair with masks m; ``source()`` names what produced m."""
         i = self._at.get(m)
         if i is None:
-            h, s = (_names(self.graph, x) for x in m)
             raise InternalInconsistencyError(
-                f"{source()} gives {AdmissiblePair.of(h, s)}, which is not in the lattice"
+                f"{source()} gives {self._named(m)}, which is not in the lattice"
             )
         return i
 
-    def proper(self) -> List[AdmissiblePair]:
-        t = self.top
-        return [p for p in self.pairs if p != t]
+    def _named(self, m: Tuple[int, int]) -> AdmissiblePair:
+        h, s = (_names(self.graph, x) for x in m)
+        return AdmissiblePair.of(h, s)
+
+    @cached_property
+    def _proper(self) -> Tuple[AdmissiblePair, ...]:
+        return tuple(p for p in self.pairs if p != self.top)
+
+    def proper(self) -> Tuple[AdmissiblePair, ...]:
+        return self._proper
 
     def _memo(self, table, a: AdmissiblePair, b: AdmissiblePair, compute) -> AdmissiblePair:
         i, j = self.index(a), self.index(b)
@@ -318,40 +333,103 @@ class PairLattice:
             out = p if out is None else self.meet(out, p)
         return self.top if out is None else out
 
-    def upper_covers(self, p: AdmissiblePair) -> Tuple[AdmissiblePair, ...]:
-        """The pairs covering p, in lattice order.
+    @cached_property
+    def _covers(self) -> Tuple[Tuple[AdmissiblePair, ...], ...]:
+        """The upper covers of every pair, in lattice order, by Birkhoff's representation.
 
-        A cover q of p is the join of p with any generator of q not below p:
-        a vertex w outside H, or a breaking vertex v of H outside S.  So the
-        covers are the minimal elements among those joins, where
-        ``(h1, s1) <= (h2, s2)`` iff ``h1 <= h2`` and ``s1 <= h2 | s2``.
+        A finite distributive lattice is isomorphic to the down-sets of its
+        join-irreducibles J (:func:`_join_irreducibles`), each pair p going to
+        D(p), the members of J below it.  The covers of p are then the pairs
+        with down-set D(p) + j, for each j outside D(p) whose lower set in J
+        lies in D(p).  A down-set held by two pairs, or a cover down-set held
+        by none, is an internal inconsistency.
         """
-        covers = self._covers.get(p)
-        if covers is None:
-            g = self.graph
-            h, s = self._masks[self.index(p)]
-            cands = {_normalize(g, h | 1 << w, s) for w in range(len(g.vertices)) if not h >> w & 1}
-            fresh = _breaking_mask(g, h) & ~s
-            cands.update((h, s | 1 << v) for v in _ones(fresh))
-            minimal = [
-                q for q in cands
-                if not any(r != q and not r[0] & ~q[0] and not r[1] & ~(q[0] | q[1]) for r in cands)
-            ]
-            found = sorted(self._member(q, lambda: f"a cover candidate of {p}") for q in minimal)
-            covers = self._covers[p] = tuple(self.pairs[i] for i in found)
-        return covers
+        J = _join_irreducibles(self.graph)
+        below = [
+            sum(1 << k for k, (hk, sk) in enumerate(J) if k != j and not hk & ~h and not sk & ~(h | s))
+            for j, (h, s) in enumerate(J)
+        ]
+        downs, table = [], {}
+        for i, (h, s) in enumerate(self._masks):
+            hs = h | s
+            d = sum(1 << k for k, (hk, sk) in enumerate(J) if not hk & ~h and not sk & ~hs)
+            if table.setdefault(d, i) != i:
+                raise InternalInconsistencyError(
+                    f"{self.pairs[table[d]]} and {self.pairs[i]} lie over the same join-irreducibles"
+                )
+            downs.append(d)
+        outside = (1 << len(J)) - 1
+        covers = []
+        for i, d in enumerate(downs):
+            found = []
+            for j in _ones(outside & ~d):
+                if below[j] & ~d:
+                    continue
+                c = table.get(d | 1 << j)
+                if c is None:
+                    h = s = 0
+                    for k in _ones(d | 1 << j):
+                        h, s = h | J[k][0], s | J[k][1]
+                    raise InternalInconsistencyError(
+                        f"a cover of {self.pairs[i]} is "
+                        f"{self._named(_normalize(self.graph, h, s))}, which is not in the lattice"
+                    )
+                found.append(c)
+            covers.append(tuple(self.pairs[c] for c in sorted(found)))
+        return tuple(covers)
+
+    def upper_covers(self, p: AdmissiblePair) -> Tuple[AdmissiblePair, ...]:
+        """The pairs covering p, in lattice order."""
+        return self._covers[self.index(p)]
 
     def covered_by_top(self, p: AdmissiblePair) -> bool:
         return self.upper_covers(p) == (self.top,)
 
 
+def _join_irreducibles(g: Graph) -> List[Tuple[int, int]]:
+    """Masks (h, s) of the join-irreducible admissible pairs of g, sorted.
+
+    Every pair (H, S) is the join of the generators below it: the least pair
+    ``(close({w}), {})`` holding each vertex w of H, and for each v in S the
+    least pair ``(close(omega_v), {v})`` holding v as a breaking vertex,
+    omega_v being the targets of v's infinite bundles (an infinite emitter
+    that does not break close(omega_v) breaks no H).  So the join-irreducibles
+    are the generators that are neither the bottom nor the join of the
+    generators strictly below them.
+    """
+    gens = {(_close(g, 1 << w), 0) for w in range(len(g.vertices))}
+    for i, omega, _ in _bits(g)[4]:
+        h = _close(g, omega)
+        if _breaking_mask(g, h) >> i & 1:
+            gens.add((h, 1 << i))
+    gens.discard((0, 0))
+    irreducible = []
+    for h, s in gens:
+        X = T = 0
+        for hy, sy in gens:
+            if (hy, sy) != (h, s) and not hy & ~h and not sy & ~(h | s):
+                X, T = X | hy, T | sy
+        if _normalize(g, X, T) != (h, s):
+            irreducible.append((h, s))
+    return sorted(irreducible)
+
+
 def enumerate_pairs(g: Graph) -> PairLattice:
-    """Every admissible pair (H, S) with H hereditary saturated, S <= B_H."""
+    """Every admissible pair (H, S) with H hereditary saturated, S <= B_H.
+
+    Built from the NextClosure masks: the S of each H are the submasks of its
+    breaking mask, and the names are read off ``g.vertices``, which is sorted.
+    """
+    vs = g.vertices
     pairs = []
-    for H in enumerate_hs(g):
-        bh = _vkey(breaking_vertices(g, H))
-        for S in chain.from_iterable(combinations(bh, r) for r in range(len(bh) + 1)):
-            pairs.append(AdmissiblePair.of(H, S))
+    for h in _hs_masks(g):
+        names = tuple(vs[i] for i in _ones(h))
+        bh = s = _breaking_mask(g, h)
+        while True:
+            pairs.append(AdmissiblePair(names, tuple(vs[i] for i in _ones(s))))
+            if not s:
+                break
+            s = (s - 1) & bh
     return PairLattice(g, pairs)
 
 
@@ -445,15 +523,17 @@ class QuotientGraph:
     def __init__(self, directed: bool, exitless: Tuple[Cycle, ...], source):
         self.directed = directed
         self.exitless = exitless
-        self._source = source  # (vertices, bundles, H, the breaking vertices outside S)
+        self._source = source  # (vertices, bundles, and the masks of H and of B_H \ S)
 
     @cached_property
     def _built(self) -> Tuple[Graph, Dict[str, Tuple[str, bool]]]:
-        vertices, parent_bundles, hset, unprimed = self._source
+        vertices, parent_bundles, h, d = self._source
+        hset = {v for i, v in enumerate(vertices) if h >> i & 1}
         survivors = [v for v in vertices if v not in hset]
         primed_of = {}
         taken = set(survivors)
-        for v in unprimed:
+        for i in _ones(d):
+            v = vertices[i]
             name = _primed_name(v, taken)
             primed_of[v] = name
             taken.add(name)
@@ -507,16 +587,21 @@ def quotient(g: Graph, p: AdmissiblePair) -> QuotientGraph:
     hit = g._quotients.get(p)
     if hit is not None:
         return hit
-    hset, sset = p.h_set, p.s_set
-    bh = breaking_vertices(g, hset)
-    if not sset <= bh:
+    bh = breaking_vertices(g, p.h_set)
+    if not p.s_set <= bh:
         raise LatticeError(f"invalid pair {p} for this graph")
-    unprimed = _vkey(bh - sset)
-    h, d = _mask(g, p.h), _mask(g, unprimed)
-    terminals, cycles = _h_facts(g, h)
-    directed = sum(1 for t in terminals if not t & d) + d.bit_count() <= 1
-    exitless = tuple(c for m, c in cycles if not m & d)
-    hit = g._quotients[p] = QuotientGraph(directed, exitless, (g.vertices, g.bundles, hset, unprimed))
+    return _quotient(g, p, _mask(g, p.h), _mask(g, p.s))
+
+
+def _quotient(g: Graph, p: AdmissiblePair, h: int, s: int) -> QuotientGraph:
+    """:func:`quotient` of the admissible pair p, whose masks (h, s) are known valid."""
+    hit = g._quotients.get(p)
+    if hit is None:
+        d = _breaking_mask(g, h) & ~s
+        terminals, cycles = _h_facts(g, h)
+        directed = sum(1 for t in terminals if not t & d) + d.bit_count() <= 1
+        exitless = tuple(c for m, c in cycles if not m & d)
+        hit = g._quotients[p] = QuotientGraph(directed, exitless, (g.vertices, g.bundles, h, d))
     return hit
 
 

@@ -26,6 +26,7 @@ from .ideals import (
     rep,
     unit_ideal,
     zero_ideal,
+    _directed_complement,
     _graded_prime_flags,
 )
 from .lattice import (
@@ -73,21 +74,24 @@ def primes_containing(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeFamil
     )
     nongraded: List[IdealRep] = []
     if I.components:
-        comp_map = I.component_map()
+        # a candidate (pair; cyc, f) has S = B_H, one component and f
+        # irreducible, so is_prime would only test the directedness of the
+        # vertices outside H: factor each component and test each pair once
+        factors = {cyc: tuple(factor(p_c)) for cyc, p_c in I.components}
         for pair in lattice.proper():
             if pair.s_set != breaking_vertices(g, pair.h_set):
                 continue
             if not I.graded.le(pair):
                 continue
+            directed = None
             for cyc in quotient(g, pair).exitless:
-                p_c = comp_map.get(cyc)
-                if p_c is None:
-                    continue
-                for f in factor(p_c):
+                for f in factors.get(cyc, ()):
                     cand = make(g, pair, {cyc: f})
                     if not contains(g, cand, I):
                         continue
-                    if is_prime(g, lattice, cand).prime:
+                    if directed is None:
+                        directed = _directed_complement(g, pair).prime
+                    if directed:
                         nongraded.append(cand)
     nongraded.sort(key=IdealRep.sort_key)
     return PrimeFamily(graded, tuple(nongraded))

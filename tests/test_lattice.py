@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from leavitt import lattice
 from leavitt.errors import LatticeError
 from leavitt.graphs import Cycle, Graph, OMEGA, downward_directed, exitless_cycles
 from leavitt.lattice import (
@@ -19,8 +20,10 @@ from leavitt.lattice import (
     quotient,
     top_pair,
 )
+from leavitt.ideals import _graded_prime_flags
+from leavitt.oracles import SearchLattice
 
-from conftest import forks, lattice_of
+from conftest import forks, lattice_of, random_graph
 
 
 def hs_sets(g):
@@ -61,6 +64,36 @@ def test_cover_outside_the_lattice_is_an_inconsistency(named):
     partial = PairLattice(B1, [p for p in lat.pairs if p != dropped])
     with pytest.raises(InternalInconsistencyError, match=r"\(\{a\}, \{\}\)"):
         partial.upper_covers(bottom_pair())
+
+
+def test_covers_and_prime_flags_match_search_lattice():
+    # the corpus, forks(3) and loops(5) are compared in test_oracles
+    rng = random.Random(20261019)
+    for n in range(1200):
+        g = _sparse_graph(rng, 8) if n % 2 else random_graph(rng, 8)
+        lat = enumerate_pairs(g)
+        ref = SearchLattice(lat)
+        for p in lat.pairs:
+            assert lat.upper_covers(p) == ref.upper_covers(p), (dict(g.bundles), p)
+        assert _graded_prime_flags(g, lat) == ref.prime_flags(), dict(g.bundles)
+
+
+def test_covers_make_few_normalize_calls(monkeypatch):
+    # forks(4): 12 vertices and 4 infinite emitters, each breaking close(omega_v),
+    # so 16 generators; every cover comes from a down-set table, not a join
+    g = forks(4)
+    lat = enumerate_pairs(g)
+    calls = []
+    normalize = lattice._normalize
+
+    def counted(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(lattice, "_normalize", counted)
+    covers = [lat.upper_covers(p) for p in lat.pairs]
+    assert sum(map(len, covers)) == 4 * 6**3 * 7  # each fork's six pairs have seven cover edges
+    assert len(calls) <= 12 + 4 + 16
 
 
 def test_breaking_vertices(named):
@@ -177,9 +210,9 @@ def test_quotient_exitless_cycles_depend_on_S():
     assert dict(primed.graph.bundles) == {("u", "w"): 1, ("w", "u"): 1, ("w", "u'"): 1}
 
 
-def _sparse_graph(rng: random.Random) -> Graph:
-    """At most 9 vertices, sparse enough for exitless cycles, omega bundles for breaking vertices."""
-    vs = [f"v{i}" for i in range(rng.randint(1, 9))]
+def _sparse_graph(rng: random.Random, max_vertices: int = 9) -> Graph:
+    """Sparse enough for exitless cycles, omega bundles for breaking vertices."""
+    vs = [f"v{i}" for i in range(rng.randint(1, max_vertices))]
     density = rng.uniform(0.08, 0.35)
     return Graph(vs, {
         (v, w): rng.choice([1, 1, 1, 2, OMEGA, OMEGA])
