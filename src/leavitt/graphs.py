@@ -129,8 +129,8 @@ class Graph:
     """Immutable directed multigraph over string vertex identifiers."""
 
     __slots__ = (
-        "vertices", "bundles", "_out", "_in", "_reach", "_breaking", "_bits", "_quotients",
-        "_quotient_table", "_condition_K",
+        "vertices", "bundles", "_out", "_in", "_reach", "_breaking", "_bits", "_reach_masks",
+        "_quotients", "_quotient_table", "_condition_K",
     )
 
     def __init__(self, vertices: Iterable[str], bundles: Mapping[Tuple[str, str], Multiplicity]):
@@ -161,6 +161,7 @@ class Graph:
         self._reach = {}
         self._breaking = {}  # hereditary saturated set -> its breaking vertices
         self._bits = None  # vertex bitmasks, built by the lattice module on first use
+        self._reach_masks = None  # per-vertex reach bitmasks, likewise
         self._quotients = {}  # admissible pair -> its quotient graph
         self._quotient_table = None  # per-graph quotient facts, built by the lattice module
         self._condition_K = None  # the Condition (K) report, decided on first use
@@ -334,11 +335,14 @@ def simple_closed_path_count(g: Graph, v: str) -> int:
     """Number of closed simple paths based at v, counted up to 2.
 
     A closed simple path may revisit other vertices but not its base, and
-    stays in the strongly connected component C of v.  If a vertex of C has
-    two edges into C (two bundles, or multiplicity above 1), a shortest path
-    from v to it, either edge and a shortest path back give two such paths.
-    Otherwise C is one cycle (one path) or v alone without a loop (none).
+    stays in the strongly connected component C of v, so the count depends
+    on C alone (:func:`_closed_path_count`).
     """
+    return _closed_path_count(g, _strong_component(g, v))
+
+
+def _strong_component(g: Graph, v: str) -> set:
+    """The strongly connected component of v: what v reaches that reaches v back."""
     ahead = reachable_from(g, v)
     comp, stack = {v}, [v]
     while stack:
@@ -346,6 +350,17 @@ def simple_closed_path_count(g: Graph, v: str) -> int:
             if u in ahead and u not in comp:
                 comp.add(u)
                 stack.append(u)
+    return comp
+
+
+def _closed_path_count(g: Graph, comp: set) -> int:
+    """Closed simple paths based at any vertex of the strongly connected component comp, up to 2.
+
+    If a vertex of comp has two edges into comp (two bundles, or
+    multiplicity above 1), a shortest path from the base to it, either edge
+    and a shortest path back give two such paths.  Otherwise comp is one
+    cycle (one path) or one vertex without a loop (none).
+    """
     inside = [sum((m for w, m in g.out_bundles(u) if w in comp), 0) for u in comp]
     if inside == [0]:
         return 0
@@ -356,9 +371,18 @@ def condition_K(g: Graph) -> ConditionReport:
     """Condition (K): no vertex is the base of exactly one closed simple path.
 
     The witness is the first vertex (in lexicographic order) based at
-    exactly one closed simple path.  Decided once per graph.
+    exactly one closed simple path.  The count is found once per strongly
+    connected component, and the report once per graph.
     """
     if g._condition_K is None:
-        witness = next((v for v in g.vertices if simple_closed_path_count(g, v) == 1), None)
+        counts = {}
+        witness = None
+        for v in g.vertices:
+            if v not in counts:
+                comp = _strong_component(g, v)
+                counts.update(dict.fromkeys(comp, _closed_path_count(g, comp)))
+            if counts[v] == 1:
+                witness = v
+                break
         g._condition_K = ConditionReport(witness is None, witness)
     return g._condition_K

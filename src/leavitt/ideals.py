@@ -35,7 +35,6 @@ from .lattice import (
     quotient,
     top_pair,
     _breaking_mask,
-    _quotient,
 )
 
 Component = Tuple[Cycle, LaurentPoly]
@@ -89,7 +88,8 @@ def unit_ideal(g: Graph) -> IdealRep:
 
 
 def is_proper(g: Graph, I: IdealRep) -> bool:
-    return I.graded != top_pair(g)
+    """Whether I is not the whole algebra: the top pair is (all vertices, {})."""
+    return I.graded.h != g.vertices or bool(I.graded.s)
 
 
 def make(
@@ -256,19 +256,21 @@ def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, 
     """Meet-primeness of every lattice element, with directedness cross-checks.
 
     An element I is meet-prime when meet(A, B) <= I forces A <= I or B <= I.
-    The lattice is distributive, so a proper element is meet-prime exactly
-    when it has one upper cover; the top is vacuously meet-prime.  Two facts
-    are verified for every element: a prime quotient vertex set must be
-    downward directed, and a full-S pair over a downward directed complement
-    must be prime.  Any disagreement aborts.
+    The lattice is distributive, so the proper meet-prime elements are its
+    meet-irreducibles m(j) (:attr:`PairLattice.graded_primes`); the top is
+    vacuously meet-prime.  Two facts are verified for every element, read
+    off its masks: a prime quotient vertex set must be downward directed,
+    and a full-S pair over a downward directed complement must be prime.
+    Any disagreement aborts.
     """
     if lattice._prime_flags is not None:
         return lattice._prime_flags
     flags = {}
     top = lattice.top
-    for p, (h, s) in zip(lattice.pairs, lattice._masks):
-        meet_prime = p == top or len(lattice.upper_covers(p)) == 1
-        dd = _quotient(g, p, h, s).directed
+    primes = set(lattice.meet_irreducibles)
+    for i, (p, (h, s)) in enumerate(zip(lattice.pairs, lattice._masks)):
+        meet_prime = i in primes or p == top
+        dd = lattice.quotient_facts(i)[0]
         if meet_prime and not dd:
             raise InternalInconsistencyError(
                 f"{p} is meet-prime but its quotient vertex set is not downward directed"
@@ -341,18 +343,17 @@ def is_maximal(g: Graph, lattice: PairLattice, I: IdealRep) -> bool:
 
     A graded ideal is maximal when its pair is covered by the top of the
     lattice and the quotient graph satisfies Condition (L), so that nothing
-    non-graded fits between.  A non-graded ideal is maximal when it is a
-    full-S pair with one irreducible component and the quotient graph is
-    exactly that exitless cycle.
+    non-graded fits between: the lattice keeps the list of these
+    (:attr:`PairLattice.maximal_graded`).  A non-graded ideal is maximal when
+    it is a full-S pair with one irreducible component and the quotient graph
+    is exactly that exitless cycle.
     """
     if not is_proper(g, I):
         raise IdealError("the improper ideal is not tested for maximality")
     if I.is_graded:
         if I.graded not in lattice:
             raise IdealError(f"{I.graded} is not in the supplied lattice")
-        if not lattice.covered_by_top(I.graded):
-            return False
-        return not quotient(g, I.graded).exitless
+        return I.graded in lattice.maximal_graded
     if len(I.components) != 1:
         return False
     if I.graded.s_set != breaking_vertices(g, I.graded.h_set):

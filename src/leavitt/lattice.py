@@ -6,13 +6,20 @@ by H and the elements ``v - sum(e e* : s(e)=v, r(e) not in H)`` for v in S.
 The pairs are ordered by ``(H1,S1) <= (H2,S2) iff H1 <= H2 and S1 <= H2|S2``
 and form a finite distributive lattice.  Vertex sets are handled as int
 bitmasks, the hereditary saturated sets are listed by Ganter's NextClosure,
-and meets and joins come from closed forms.  The order is read through upper
-covers, found for every pair at once by Birkhoff's representation: each pair
-is the down-set of join-irreducible pairs below it, and its covers add one
-minimal join-irreducible outside.  Quotients are memoized on the graph per
-pair.  Their downward directedness and exitless cycles are read off vertex
-masks, from the terminal strongly connected components of E \\ H (found once
-per H); the quotient graph itself is built only when it is asked for.
+and meets and joins come from closed forms.
+
+Everything else about the order is read from Birkhoff's representation
+(Davey & Priestley, *Introduction to Lattices and Order*, ch. 5), kept once
+per lattice: the join-irreducible pairs J, each pair's down-set D(p) in J,
+and the table from down-sets to pairs.  A pair's upper covers add one
+minimal member of J outside D(p); the graded primes are the
+meet-irreducibles m(j), whose down-sets are J minus the members above j;
+the coatoms are the m(j) for maximal j; the lattice is a chain iff J is.
+
+Per-pair quotient facts (downward directedness and exitless cycles) are read
+off the pair's masks, from the terminal strongly connected components of
+E \\ H (found once per H); the quotient graph itself is built only when it
+is asked for.
 """
 
 from __future__ import annotations
@@ -28,13 +35,14 @@ VertexSet = frozenset
 
 
 def _bits(g: Graph):
-    """``(index, reach, succ, regular, emitters)`` for g, computed once and kept on it.
+    """``(index, succ, regular, emitters)`` for g, computed once and kept on it.
 
     Vertex i of ``g.vertices`` is bit ``1 << i`` and ``index[v] == i``;
-    ``reach[i]`` and ``succ[i]`` are the masks of what vertex i reaches and of
-    its successors, ``regular`` lists the i of the regular vertices, and
-    ``emitters`` holds ``(i, omega, succ[i])`` for each infinite emitter i,
-    ``omega`` being the mask of the targets of its infinite bundles.
+    ``succ[i]`` is the mask of vertex i's successors, ``regular`` lists the i
+    of the regular vertices, and ``emitters`` holds ``(i, omega, succ[i])``
+    for each infinite emitter i, ``omega`` being the mask of the targets of
+    its infinite bundles.  Reach masks are kept apart (:func:`_reach`), as
+    only closures and quotients need them.
     """
     if g._bits is None:
         index = {v: i for i, v in enumerate(g.vertices)}
@@ -46,7 +54,6 @@ def _bits(g: Graph):
         kinds = [classify(g, v) for v in g.vertices]
         g._bits = (
             index,
-            tuple(_reach_mask(succ, i) for i in range(len(succ))),
             succ,
             tuple(i for i, k in enumerate(kinds) if k == VertexClass.REGULAR),
             tuple(
@@ -56,6 +63,17 @@ def _bits(g: Graph):
             ),
         )
     return g._bits
+
+
+def _reach(g: Graph) -> Tuple[int, ...]:
+    """``reach[i]``, the mask of what vertex i reaches, itself included.
+
+    Built when a closure or a quotient first needs it, and kept on g.
+    """
+    if g._reach_masks is None:
+        succ = _bits(g)[1]
+        g._reach_masks = tuple(_reach_mask(succ, i) for i in range(len(succ)))
+    return g._reach_masks
 
 
 def _ones(m: int) -> Iterator[int]:
@@ -94,16 +112,18 @@ def _names(g: Graph, m: int) -> VertexSet:
 def _close(g: Graph, m: int) -> int:
     """Least hereditary saturated superset of the vertex mask m.
 
-    One pass ORs in what m reaches; then every regular vertex whose edges all
-    end inside is added until none is left.  Such a vertex keeps the set
-    hereditary, so no second reach pass is needed.  Infinite emitters are
-    never forced in by saturation.
+    One pass ORs in what the vertices of m reach, skipping those already
+    reached; then every regular vertex whose edges all end inside is added
+    until none is left.  Such a vertex keeps the set hereditary, so no
+    second reach pass is needed.  Infinite emitters are never forced in by
+    saturation.
     """
-    _, reach, succ, regular, _ = _bits(g)
+    _, succ, regular, _ = _bits(g)
+    reach = _reach(g)
     h = 0
-    for i, r in enumerate(reach):
-        if m >> i & 1:
-            h |= r
+    while m:
+        h |= reach[(m & -m).bit_length() - 1]
+        m &= ~h
     grew = True
     while grew:
         grew = False
@@ -164,10 +184,22 @@ def _breaking_mask(g: Graph, h: int) -> int:
     ends in h and at least one (finite) bundle leaves h.
     """
     out = 0
-    for i, omega, succ in _bits(g)[4]:
+    for i, omega, succ in _bits(g)[3]:
         if not h >> i & 1 and not omega & ~h and succ & ~h:
             out |= 1 << i
     return out
+
+
+def _is_hs(g: Graph, m: int) -> bool:
+    """Whether the vertex mask m is hereditary saturated, read off successor masks.
+
+    Hereditary: no vertex of m has a successor outside.  Saturated: no
+    regular vertex outside m has all its successors inside.
+    """
+    _, succ, regular, _ = _bits(g)
+    return not any(succ[i] & ~m for i in _ones(m)) and all(
+        m >> i & 1 or succ[i] & ~m for i in regular
+    )
 
 
 def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
@@ -180,7 +212,7 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
     if hit is not None:
         return hit
     mask = _mask(g, hset)
-    if _close(g, mask) != mask:
+    if not _is_hs(g, mask):
         raise LatticeError(f"{sorted(hset)} is not hereditary saturated")
     hit = g._breaking[hset] = _names(g, _breaking_mask(g, mask))
     return hit
@@ -236,25 +268,37 @@ def top_pair(g: Graph) -> AdmissiblePair:
 class PairLattice:
     """The finite lattice of all admissible pairs of a graph.
 
-    Graded ideals multiply as they intersect, so the lattice is distributive.
-    Meets and joins are closed forms (:func:`closed_form_meet` and
-    :func:`_normalize`), memoized per lattice, and the order is read through
-    upper covers, found for every pair at once from the join-irreducibles
-    (see ``_covers``).  Joins and covers run on the vertex masks
-    ``(h, s)`` of the pairs, computed once here.
+    Graded ideals multiply as they intersect, so the lattice is distributive,
+    and Birkhoff's representation describes it: each pair p is determined by
+    D(p), the join-irreducible pairs J below it (see ``_birkhoff``).  The
+    upper covers, the graded primes (the meet-irreducibles m(j)), the
+    maximal graded ideals and the chain and antichain tests are all read
+    from J and the table from down-sets to pairs, never from a scan over
+    pairs.  Meets and joins are closed forms on masks (:func:`_meet_masks`
+    and :func:`_normalize`), memoized per lattice.  The vertex masks ``(h, s)``
+    of every pair are kept by pair index, and the per-pair quotient facts
+    are read off them (:meth:`quotient_facts`).
     """
 
-    def __init__(self, graph: Graph, pairs: List[AdmissiblePair]):
+    def __init__(
+        self,
+        graph: Graph,
+        pairs: List[AdmissiblePair],
+        masks: Optional[List[Tuple[int, int]]] = None,
+    ):
+        """``masks``, when given, holds the ``(h, s)`` masks of ``pairs``, in the same order."""
         self.graph = graph
-        self.pairs = tuple(sorted(pairs, key=lambda p: (p.h, p.s)))  # the dataclass order, on plain tuples
+        if masks is None:
+            masks = [(_mask(graph, p.h), _mask(graph, p.s)) for p in pairs]
+        # the dataclass order, on plain tuples
+        order = sorted(range(len(pairs)), key=lambda i: (pairs[i].h, pairs[i].s))
+        self.pairs = tuple(pairs[i] for i in order)
+        self._masks = tuple(masks[i] for i in order)
         self._index = {p: i for i, p in enumerate(self.pairs)}
-        index = _bits(graph)[0]
-        self._masks = tuple(
-            (sum(1 << index[v] for v in p.h), sum(1 << index[v] for v in p.s)) for p in self.pairs
-        )
         self._at = {m: i for i, m in enumerate(self._masks)}
         self._meet: Dict[Tuple[int, int], AdmissiblePair] = {}
         self._join: Dict[Tuple[int, int], AdmissiblePair] = {}
+        self._covers: Dict[int, Tuple[AdmissiblePair, ...]] = {}
         self._prime_flags: Optional[Dict[AdmissiblePair, bool]] = None  # see ideals._graded_prime_flags
 
     def __len__(self):
@@ -273,11 +317,6 @@ class PairLattice:
     @cached_property
     def top(self) -> AdmissiblePair:
         return top_pair(self.graph)
-
-    @cached_property
-    def hs_sets(self) -> Tuple[VertexSet, ...]:
-        """The hereditary saturated sets in :func:`enumerate_hs` order: the H of each (H, {})."""
-        return tuple(p.h_set for p in self.pairs if not p.s)
 
     def index(self, p: AdmissiblePair) -> int:
         try:
@@ -313,10 +352,11 @@ class PairLattice:
         return table[key]
 
     def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        return self._memo(
-            self._meet, a, b,
-            lambda i, j: self.pairs[self.index(closed_form_meet(self.graph, a, b))],
-        )
+        def compute(i, j):
+            m = _meet_masks(self.graph, self._masks[i], self._masks[j])
+            return self.pairs[self._member(m, lambda: f"the meet of {a} and {b}")]
+
+        return self._memo(self._meet, a, b, compute)
 
     def join(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
         def compute(i, j):
@@ -334,56 +374,149 @@ class PairLattice:
         return self.top if out is None else out
 
     @cached_property
-    def _covers(self) -> Tuple[Tuple[AdmissiblePair, ...], ...]:
-        """The upper covers of every pair, in lattice order, by Birkhoff's representation.
+    def _birkhoff(self):
+        """``(J, below, downs, table)``: Birkhoff's representation of the lattice.
 
         A finite distributive lattice is isomorphic to the down-sets of its
-        join-irreducibles J (:func:`_join_irreducibles`), each pair p going to
-        D(p), the members of J below it.  The covers of p are then the pairs
-        with down-set D(p) + j, for each j outside D(p) whose lower set in J
-        lies in D(p).  A down-set held by two pairs, or a cover down-set held
-        by none, is an internal inconsistency.
+        join-irreducibles J (:func:`_join_irreducibles`; Davey & Priestley,
+        *Introduction to Lattices and Order*, ch. 5).  Subsets of J are bit
+        masks over its indices: ``below[j]`` holds the members strictly below
+        j, ``downs[i]`` is D(p) for pair i, and ``table`` maps each down-set
+        to its pair.  J[k] lies below (h, s) when its h lies in h and its s
+        in h | s; the members whose h lies in h are found once per h.  A
+        down-set held by two pairs is an internal inconsistency.
         """
         J = _join_irreducibles(self.graph)
-        below = [
+        below = tuple(
             sum(1 << k for k, (hk, sk) in enumerate(J) if k != j and not hk & ~h and not sk & ~(h | s))
             for j, (h, s) in enumerate(J)
-        ]
-        downs, table = [], {}
+        )
+        downs, table, per_h = [], {}, {}
         for i, (h, s) in enumerate(self._masks):
-            hs = h | s
-            d = sum(1 << k for k, (hk, sk) in enumerate(J) if not hk & ~h and not sk & ~hs)
+            hit = per_h.get(h)
+            if hit is None:
+                base, rest = 0, []
+                for k, (hk, sk) in enumerate(J):
+                    if not hk & ~h:
+                        if sk & ~h:
+                            rest.append((1 << k, sk))
+                        else:
+                            base |= 1 << k
+                hit = per_h[h] = (base, rest)
+            d, rest = hit
+            for bit, sk in rest:
+                if not sk & ~s:
+                    d |= bit
             if table.setdefault(d, i) != i:
                 raise InternalInconsistencyError(
                     f"{self.pairs[table[d]]} and {self.pairs[i]} lie over the same join-irreducibles"
                 )
             downs.append(d)
-        outside = (1 << len(J)) - 1
-        covers = []
-        for i, d in enumerate(downs):
-            found = []
-            for j in _ones(outside & ~d):
-                if below[j] & ~d:
-                    continue
-                c = table.get(d | 1 << j)
-                if c is None:
-                    h = s = 0
-                    for k in _ones(d | 1 << j):
-                        h, s = h | J[k][0], s | J[k][1]
-                    raise InternalInconsistencyError(
-                        f"a cover of {self.pairs[i]} is "
-                        f"{self._named(_normalize(self.graph, h, s))}, which is not in the lattice"
-                    )
-                found.append(c)
-            covers.append(tuple(self.pairs[c] for c in sorted(found)))
-        return tuple(covers)
+        return J, below, tuple(downs), table
+
+    def _with_down(self, d: int, source) -> int:
+        """Index of the pair whose down-set is d; ``source()`` names the pair asked for.
+
+        A down-set held by no pair is an internal inconsistency, reported
+        with the pair it stands for: the join of its members.
+        """
+        i = self._birkhoff[3].get(d)
+        if i is None:
+            J = self._birkhoff[0]
+            h = s = 0
+            for k in _ones(d):
+                h, s = h | J[k][0], s | J[k][1]
+            named = self._named(_normalize(self.graph, h, s))
+            raise InternalInconsistencyError(f"{source()} is {named}, which is not in the lattice")
+        return i
+
+    def down_set(self, p: AdmissiblePair) -> int:
+        """D(p), the join-irreducibles below p, as a mask over the indices of J."""
+        return self._birkhoff[2][self.index(p)]
 
     def upper_covers(self, p: AdmissiblePair) -> Tuple[AdmissiblePair, ...]:
-        """The pairs covering p, in lattice order."""
-        return self._covers[self.index(p)]
+        """The pairs covering p, in lattice order.
+
+        They are the pairs with down-set D(p) + j, for each j outside D(p)
+        whose lower set in J lies in D(p).  Found on first request, per pair.
+        """
+        i = self.index(p)
+        hit = self._covers.get(i)
+        if hit is None:
+            J, below, downs, _ = self._birkhoff
+            d = downs[i]
+            found = [
+                self._with_down(d | 1 << j, lambda: f"a cover of {p}")
+                for j in _ones(((1 << len(J)) - 1) & ~d)
+                if not below[j] & ~d
+            ]
+            hit = self._covers[i] = tuple(self.pairs[c] for c in sorted(found))
+        return hit
 
     def covered_by_top(self, p: AdmissiblePair) -> bool:
         return self.upper_covers(p) == (self.top,)
+
+    @cached_property
+    def meet_irreducibles(self) -> Tuple[int, ...]:
+        """The pair index of m(j) for each j of J, in J's order.
+
+        m(j) is the pair whose down-set is J minus the members above j.  In a
+        distributive lattice these are exactly the meet-irreducible, hence
+        meet-prime, elements: the pairs of the graded primes.
+        """
+        J, below, _, _ = self._birkhoff
+        full = (1 << len(J)) - 1
+        out = []
+        for j in range(len(J)):
+            up = 1 << j
+            for k, b in enumerate(below):
+                if b >> j & 1:
+                    up |= 1 << k
+            out.append(self._with_down(
+                full & ~up, lambda: f"the meet-irreducible over {self._named(J[j])}"
+            ))
+        return tuple(out)
+
+    @cached_property
+    def graded_primes(self) -> Tuple[AdmissiblePair, ...]:
+        """The proper meet-prime pairs, the m(j), in lattice order."""
+        return tuple(self.pairs[i] for i in sorted(self.meet_irreducibles))
+
+    @cached_property
+    def maximal_graded(self) -> Tuple[AdmissiblePair, ...]:
+        """The pairs of the maximal graded ideals, in lattice order.
+
+        A maximal graded ideal is a coatom whose quotient has no exitless
+        cycle, so that no non-graded ideal fits above it.  The coatoms are
+        the m(j) for j maximal in J.
+        """
+        not_maximal = 0
+        for b in self._birkhoff[1]:
+            not_maximal |= b
+        return tuple(
+            self.pairs[i]
+            for i in sorted(
+                i for j, i in enumerate(self.meet_irreducibles)
+                if not not_maximal >> j & 1 and not self.quotient_facts(i)[1]
+            )
+        )
+
+    @cached_property
+    def is_chain(self) -> bool:
+        """Whether the lattice is a chain: exactly when J is one."""
+        below = self._birkhoff[1]
+        return all(
+            below[j] >> k & 1 or below[k] >> j & 1 for j in range(len(below)) for k in range(j)
+        )
+
+    @cached_property
+    def is_antichain(self) -> bool:
+        """Whether J is an antichain: exactly when every m(j) is a coatom."""
+        return not any(self._birkhoff[1])
+
+    def quotient_facts(self, i: int) -> Tuple[bool, Tuple[Cycle, ...]]:
+        """:func:`_quotient_facts` of pair i, read off its masks."""
+        return _quotient_facts(self.graph, *self._masks[i])
 
 
 def _join_irreducibles(g: Graph) -> List[Tuple[int, int]]:
@@ -398,7 +531,7 @@ def _join_irreducibles(g: Graph) -> List[Tuple[int, int]]:
     generators strictly below them.
     """
     gens = {(_close(g, 1 << w), 0) for w in range(len(g.vertices))}
-    for i, omega, _ in _bits(g)[4]:
+    for i, omega, _ in _bits(g)[3]:
         h = _close(g, omega)
         if _breaking_mask(g, h) >> i & 1:
             gens.add((h, 1 << i))
@@ -419,29 +552,43 @@ def enumerate_pairs(g: Graph) -> PairLattice:
 
     Built from the NextClosure masks: the S of each H are the submasks of its
     breaking mask, and the names are read off ``g.vertices``, which is sorted.
+    The masks go to the lattice with the pairs.
     """
     vs = g.vertices
-    pairs = []
+    pairs, masks = [], []
     for h in _hs_masks(g):
         names = tuple(vs[i] for i in _ones(h))
         bh = s = _breaking_mask(g, h)
         while True:
             pairs.append(AdmissiblePair(names, tuple(vs[i] for i in _ones(s))))
+            masks.append((h, s))
             if not s:
                 break
             s = (s - 1) & bh
-    return PairLattice(g, pairs)
+    return PairLattice(g, pairs, masks)
+
+
+def _meet_masks(g: Graph, a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    """Masks of the meet of the pairs with masks a and b.
+
+    H = H1 & H2 and S = ((S1|H1) & (S2|H2)) & B_H.
+    """
+    (h1, s1), (h2, s2) = a, b
+    h = h1 & h2
+    return h, (s1 | h1) & (s2 | h2) & _breaking_mask(g, h)
 
 
 def closed_form_meet(g: Graph, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-    """Meet of two pairs: H = H1 & H2, S = ((S1|H1) & (S2|H2)) & B_H.
+    """Meet of two pairs, by :func:`_meet_masks`.
 
-    Computing B_H re-checks that H is hereditary saturated, S <= B_H holds by
+    H is re-checked to be hereditary saturated, S <= B_H holds by
     construction, and the result is checked to lie below both arguments.
     """
-    H = a.h_set & b.h_set
-    S = ((a.s_set | a.h_set) & (b.s_set | b.h_set)) & breaking_vertices(g, H)
-    out = AdmissiblePair.of(H, S)
+    h, s = _meet_masks(g, (_mask(g, a.h), _mask(g, a.s)), (_mask(g, b.h), _mask(g, b.s)))
+    if not _is_hs(g, h):
+        raise LatticeError(f"{sorted(_names(g, h))} is not hereditary saturated")
+    vs = g.vertices
+    out = AdmissiblePair(tuple(vs[i] for i in _ones(h)), tuple(vs[i] for i in _ones(s)))
     if not (out.le(a) and out.le(b)):
         raise InternalInconsistencyError(f"meet of {a} and {b} is not a lower bound")
     return out
@@ -456,7 +603,7 @@ def _quotient_table(g: Graph):
     ``cycles`` the :class:`Cycle` on each vertex mask, so each is built once.
     """
     if g._quotient_table is None:
-        index, reach = _bits(g)[:2]
+        index, reach = _bits(g)[0], _reach(g)
         coreach = [0] * len(reach)
         for j, r in enumerate(reach):
             for i in _ones(r):
@@ -469,7 +616,7 @@ def _quotient_table(g: Graph):
 
 
 def _h_facts(g: Graph, h: int):
-    """``(terminals, cycles)`` of E \\ H for the hereditary saturated mask h.
+    """``(terminals, cycles, breaking)`` of E \\ H for the hereditary saturated mask h.
 
     ``terminals`` are the masks of the terminal strongly connected components
     of E \\ H.  As H is hereditary, u outside H reaches within E \\ H what it
@@ -478,11 +625,12 @@ def _h_facts(g: Graph, h: int):
     ``cycles`` pairs the mask and :class:`Cycle` of each exitless cycle of
     E \\ H, in canonical order: these are the terminal components in which
     every vertex has exactly one edge, of multiplicity 1, outside H.
+    ``breaking`` is :func:`_breaking_mask` of h.
     """
     coreach, ones, per_h, made = _quotient_table(g)
     facts = per_h.get(h)
     if facts is None:
-        _, reach, succ, _, _ = _bits(g)
+        succ, reach = _bits(g)[1], _reach(g)
 
         def single(out, ones_j):  # one edge, of multiplicity 1
             return out and not out & (out - 1) and not out & ~ones_j
@@ -504,7 +652,7 @@ def _h_facts(g: Graph, h: int):
                     cycle = made[comp] = Cycle.from_vertices(walk)
                 cycles.append((comp, cycle))
         cycles.sort(key=lambda mc: mc[1])
-        facts = per_h[h] = (tuple(terminals), tuple(cycles))
+        facts = per_h[h] = (tuple(terminals), tuple(cycles), _breaking_mask(g, h))
     return facts
 
 
@@ -575,34 +723,45 @@ def quotient(g: Graph, p: AdmissiblePair) -> QuotientGraph:
     Vertices are (E0 \\ H) plus a primed sink v' for each breaking vertex v
     outside S; bundles with target outside H survive, and each bundle into a
     breaking vertex outside S is duplicated onto its primed sink.  Memoized
-    on the graph per pair.
+    on the graph per pair; its directedness and exitless cycles come from
+    :func:`_quotient_facts`.
+    """
+    hit = g._quotients.get(p)
+    if hit is None:
+        if not p.s_set <= breaking_vertices(g, p.h_set):
+            raise LatticeError(f"invalid pair {p} for this graph")
+        h, s = _mask(g, p.h), _mask(g, p.s)
+        directed, exitless = _quotient_facts(g, h, s)
+        d = _breaking_mask(g, h) & ~s
+        hit = g._quotients[p] = QuotientGraph(directed, exitless, (g.vertices, g.bundles, h, d))
+    return hit
+
+
+def _quotient_facts(g: Graph, h: int, s: int) -> Tuple[bool, Tuple[Cycle, ...]]:
+    """``(directed, exitless)`` of the quotient by the admissible pair with masks (h, s).
 
     With D the breaking vertices outside S, the terminal strongly connected
     components of the quotient are the primed sinks and the terminal
     components of E \\ H that miss D (one that meets D has an edge to a
     primed sink); the vertex set is downward directed iff there is at most
     one.  Its exitless cycles are those of E \\ H that miss D, since a
-    predecessor of a vertex of D gains the edge to the primed copy.
+    predecessor of a vertex of D gains the edge to the primed copy.  No
+    quotient graph is built.
     """
-    hit = g._quotients.get(p)
-    if hit is not None:
-        return hit
-    bh = breaking_vertices(g, p.h_set)
-    if not p.s_set <= bh:
-        raise LatticeError(f"invalid pair {p} for this graph")
-    return _quotient(g, p, _mask(g, p.h), _mask(g, p.s))
+    terminals, cycles, breaking = _h_facts(g, h)
+    d = breaking & ~s
+    directed = sum(1 for t in terminals if not t & d) + d.bit_count() <= 1
+    return directed, tuple(c for m, c in cycles if not m & d)
 
 
-def _quotient(g: Graph, p: AdmissiblePair, h: int, s: int) -> QuotientGraph:
-    """:func:`quotient` of the admissible pair p, whose masks (h, s) are known valid."""
-    hit = g._quotients.get(p)
-    if hit is None:
-        d = _breaking_mask(g, h) & ~s
-        terminals, cycles = _h_facts(g, h)
-        directed = sum(1 for t in terminals if not t & d) + d.bit_count() <= 1
-        exitless = tuple(c for m, c in cycles if not m & d)
-        hit = g._quotients[p] = QuotientGraph(directed, exitless, (g.vertices, g.bundles, h, d))
-    return hit
+def _avoiding(g: Graph, i: int) -> int:
+    """Mask of the vertices that do not reach vertex i.
+
+    It is hereditary, and saturated when i lies on a cycle: a regular vertex
+    whose successors all miss i misses it too, unless it is i itself, whose
+    successor on the cycle reaches i.
+    """
+    return ((1 << len(g.vertices)) - 1) & ~_quotient_table(g)[0][i]
 
 
 def _normalize(g: Graph, X: int, T: int) -> Tuple[int, int]:
@@ -613,7 +772,7 @@ def _normalize(g: Graph, X: int, T: int) -> Tuple[int, int]:
     reassembles v), and this promotion is iterated to a fixpoint.  The final
     s is T & B_h.
     """
-    succ = _bits(g)[2]
+    succ = _bits(g)[1]
     h = _close(g, X)
     todo = list(_ones(T))
     changed = True

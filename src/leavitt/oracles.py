@@ -6,15 +6,21 @@ subsets, the pair order is searched as a full bit matrix, closed simple
 paths are counted by depth-first search, the single-loop graph is replayed
 against direct Laurent-ring ideal arithmetic, and the acyclic sink-powerset
 premise is verified rather than assumed.
+
+The whole-lattice scans that the engine replaced by Birkhoff's
+representation also live here: the primes over an ideal, the maximal graded
+ideals, the per-pair meet check of the maximal decomposition, and the
+greedy graded-prime factorization, each run over the searched order and the
+built quotient graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import GraphError, InternalInconsistencyError
-from .graphs import Graph, exitless_cycles, is_finite, reaches
+from .errors import FactorizationError, GraphError, InternalInconsistencyError
+from .graphs import Graph, condition_K, downward_directed, exitless_cycles, is_finite, reaches
 from .ideals import (
     IdealRep,
     contains,
@@ -26,42 +32,54 @@ from .ideals import (
     make,
     power,
     product,
+    rep,
     zero_ideal,
 )
-from .lattice import AdmissiblePair, PairLattice, bottom_pair, enumerate_hs, enumerate_pairs
-from .laurent import LaurentPoly, divides, is_irreducible, poly_lcm, squarefree_core
-from .theorems import intersection_of_primes
+from .lattice import (
+    AdmissiblePair,
+    PairLattice,
+    bottom_pair,
+    breaking_vertices,
+    enumerate_hs,
+    enumerate_pairs,
+    quotient,
+)
+from .laurent import LaurentPoly, divides, factor, is_irreducible, poly_lcm, squarefree_core
+from .theorems import PrimeFamily, intersection_of_primes
 
 
 def brute_hs(g: Graph) -> List[frozenset]:
     """All hereditary saturated subsets by filtering every vertex subset.
 
-    Checks the two defining conditions edge by edge; limited to 12 vertices.
+    Each vertex gets a bit, a successor mask read off the bundles, and a flag
+    for "non-sink with finite out-degree".  A subset is kept when its
+    members' successors all lie inside (hereditary) and no flagged vertex
+    outside has all its successors inside (saturated).  The members'
+    successors are built up subset by subset, each from the subset without
+    its lowest bit, and frozensets are built only for the subsets kept.
+    Limited to 12 vertices.
     """
     vs = g.vertices
-    if len(vs) > 12:
-        raise GraphError(f"{len(vs)} vertices is beyond the brute-force bound of 12")
+    n = len(vs)
+    if n > 12:
+        raise GraphError(f"{n} vertices is beyond the brute-force bound of 12")
+    index = {v: i for i, v in enumerate(vs)}
+    succ, total = [0] * n, [0] * n
+    for (src, dst), m in g.bundles.items():
+        succ[index[src]] |= 1 << index[dst]
+        total[index[src]] += m
+    finite = [(1 << i, succ[i]) for i in range(n) if succ[i] and is_finite(total[i])]
+    out_of = [0] * (1 << n)  # the successors of the members of each subset
     out = []
-    for mask in range(1 << len(vs)):
-        H = {vs[i] for i in range(len(vs)) if mask >> i & 1}
-        hereditary = True
-        for (src, dst) in g.bundles:
-            if src in H and dst not in H:
-                hereditary = False
-                break
-        if not hereditary:
+    for mask in range(1 << n):
+        if mask:
+            low = mask & -mask
+            out_of[mask] = out_of[mask ^ low] | succ[low.bit_length() - 1]
+        if out_of[mask] & ~mask:
             continue
-        saturated = True
-        for v in vs:
-            if v in H:
-                continue
-            targets = [dst for (src, dst) in g.bundles if src == v]
-            total = sum((m for (src, _), m in g.bundles.items() if src == v), 0)
-            if targets and is_finite(total) and all(t in H for t in targets):
-                saturated = False
-                break
-        if saturated:
-            out.append(frozenset(H))
+        if any(not mask & b and not s & ~mask for b, s in finite):
+            continue
+        out.append(frozenset(vs[i] for i in range(n) if mask >> i & 1))
     return sorted(out, key=lambda h: tuple(sorted(h)))
 
 
@@ -78,6 +96,8 @@ class SearchLattice:
         self._index = {p: i for i, p in enumerate(ps)}
         self._low = [sum(1 << j for j, q in enumerate(ps) if q.le(p)) for p in ps]
         self._up = [sum(1 << j for j, q in enumerate(ps) if p.le(q)) for p in ps]
+        self.top = ps[max(range(len(ps)), key=lambda i: self._low[i].bit_count())]
+        self._flags = None
 
     def _extremum(self, a: AdmissiblePair, b: AdmissiblePair, low: List[int], kind: str) -> int:
         cand = low[self._index[a]] & low[self._index[b]]
@@ -100,14 +120,121 @@ class SearchLattice:
             self.pairs[k] for k in above if not any(m != k and self._up[m] >> k & 1 for m in above)
         )
 
+    def meet_all(self, items: Sequence[AdmissiblePair]) -> AdmissiblePair:
+        """Meet of a family; the empty family meets to the top pair."""
+        out = self.top
+        for p in items:
+            out = self.meet(out, p)
+        return out
+
     def prime_flags(self) -> Dict[AdmissiblePair, bool]:
-        """Meet-primeness by definition: meet(A, B) <= I forces A <= I or B <= I."""
-        not_prime = 0
-        for i, a in enumerate(self.pairs):
-            for b in self.pairs[i:]:
-                m = self._extremum(a, b, self._low, "meet")
-                not_prime |= self._up[m] & ~self._up[i] & ~self._up[self._index[b]]
-        return {p: not (not_prime >> i & 1) for i, p in enumerate(self.pairs)}
+        """Meet-primeness by definition: meet(A, B) <= I forces A <= I or B <= I.
+
+        Computed on the first call and kept.
+        """
+        if self._flags is None:
+            not_prime = 0
+            for i, a in enumerate(self.pairs):
+                for b in self.pairs[i:]:
+                    m = self._extremum(a, b, self._low, "meet")
+                    not_prime |= self._up[m] & ~self._up[i] & ~self._up[self._index[b]]
+            self._flags = {p: not (not_prime >> i & 1) for i, p in enumerate(self.pairs)}
+        return self._flags
+
+
+def primes_containing_by_scan(g: Graph, ref: SearchLattice, I: IdealRep) -> PrimeFamily:
+    """The primes over I found by scanning every proper pair of the searched order.
+
+    Graded: the meet-prime pairs (by definition) that contain I.  Non-graded:
+    every full-S pair over I's graded part, every exitless cycle of its
+    built quotient graph and every irreducible factor of I's component on
+    that cycle, kept when the candidate contains I and the vertices outside
+    H are downward directed.  The engine reads the same family from J.
+    """
+    flags = ref.prime_flags()
+    proper = [p for p in ref.pairs if p != ref.top]
+    graded = tuple(p for p in proper if flags[p] and contains(g, rep(p), I))
+    comps = I.component_map()
+    nongraded = []
+    for pair in proper:
+        if pair.s_set != breaking_vertices(g, pair.h_set) or not I.graded.le(pair):
+            continue
+        for cyc in exitless_cycles(quotient(g, pair).graph):
+            if cyc not in comps:
+                continue
+            for f in factor(comps[cyc]):
+                cand = make(g, pair, {cyc: f})
+                outside = [v for v in g.vertices if v not in pair.h_set]
+                if contains(g, cand, I) and downward_directed(g, outside).holds:
+                    nongraded.append(cand)
+    nongraded.sort(key=IdealRep.sort_key)
+    return PrimeFamily(graded, tuple(nongraded))
+
+
+def maximal_graded_by_scan(g: Graph, ref: SearchLattice) -> List[AdmissiblePair]:
+    """The maximal graded ideals by testing every proper pair.
+
+    A pair qualifies when the top is its only upper cover in the searched
+    order and its built quotient graph has no exitless cycle.
+    """
+    return [
+        p
+        for p in ref.pairs
+        if p != ref.top
+        and ref.upper_covers(p) == (ref.top,)
+        and not exitless_cycles(quotient(g, p).graph)
+    ]
+
+
+def maximal_decomposition_by_scan(g: Graph, ref: SearchLattice) -> Optional[List[Tuple[str, ...]]]:
+    """The maximal decomposition from the brute-force hereditary saturated sets.
+
+    The blocks are the minimal nonempty sets, when Condition (K) holds and
+    they partition the vertices.  Then every pair is checked to be the meet,
+    in the searched order, of the maximal graded ideals above it.
+    """
+    if not condition_K(g).holds:
+        return None
+    hs = [h for h in brute_hs(g) if h]
+    atoms = [h for h in hs if not any(other < h for other in hs)]
+    union = set()
+    for a in atoms:
+        if union & a:
+            return None
+        union |= a
+    if union != set(g.vertices):
+        return None
+    maximals = maximal_graded_by_scan(g, ref)
+    for p in ref.pairs:
+        if ref.meet_all([m for m in maximals if p.le(m)]) != p:
+            raise InternalInconsistencyError(f"{p} is not the meet of the maximal ideals above it")
+    return sorted(tuple(sorted(a)) for a in atoms)
+
+
+def factor_graded_by_search(
+    g: Graph, ref: SearchLattice, I: IdealRep
+) -> Tuple[AdmissiblePair, ...]:
+    """Irredundant graded-prime factorization by greedy search.
+
+    Starts from the meet-prime pairs minimal over I's graded part and drops
+    members, in sorted order, while the rest still meet to it; raises
+    :class:`FactorizationError` when the minimal primes do not meet to it.
+    """
+    flags = ref.prime_flags()
+    over = [p for p in ref.pairs if p != ref.top and flags[p] and I.graded.le(p)]
+    minimal = sorted(p for p in over if not any(q != p and q.le(p) for q in over))
+    if not minimal or ref.meet_all(minimal) != I.graded:
+        raise FactorizationError(f"no finite graded-prime factorization of {I}")
+    changed = True
+    while changed:
+        changed = False
+        for p in list(minimal):
+            rest = [q for q in minimal if q != p]
+            if rest and ref.meet_all(rest) == I.graded:
+                minimal.remove(p)
+                changed = True
+                break
+    return tuple(minimal)
 
 
 def closed_path_count_by_search(g: Graph, v: str) -> int:

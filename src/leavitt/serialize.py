@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 from .errors import GraphError, IdealError
 from .graphs import Cycle, Graph, OMEGA, condition_K, condition_L, is_finite
-from .ideals import IdealRep, is_maximal, make, rep
+from .ideals import IdealRep, make
 from .lattice import AdmissiblePair, PairLattice
 from .laurent import field_from_string, field_to_string, parse_poly
 from . import theorems
@@ -134,7 +134,7 @@ def analyze_report(name: str, g: Graph, field, lattice: PairLattice) -> dict:
     condL = condition_L(g)
     condK = condition_K(g)
     primes = theorems.graded_primes(g, lattice)
-    maximals = [p for p in lattice.proper() if is_maximal(g, lattice, rep(p))]
+    maximals = lattice.maximal_graded
     count = theorems.count_ideals(g, lattice)
     decomposition = theorems.maximal_decomposition(g, lattice)
     counterexample = theorems.prime_intersection_counterexample(g, lattice, field)
@@ -223,7 +223,7 @@ def analyze_text(report: dict) -> str:
 def lattice_dot(g: Graph, lattice: PairLattice) -> str:
     """DOT Hasse diagram: primes double-circled, maximal ideals filled."""
     primes = set(theorems.graded_primes(g, lattice))
-    maximals = {p for p in lattice.proper() if is_maximal(g, lattice, rep(p))}
+    maximals = set(lattice.maximal_graded)
     lines = ["digraph admissible_pairs {", "  rankdir=BT;", '  node [shape=ellipse];']
     for i, p in enumerate(lattice.pairs):
         attrs = [f'label="{p.label()}"']
@@ -242,7 +242,7 @@ def lattice_dot(g: Graph, lattice: PairLattice) -> str:
 
 def lattice_text(g: Graph, lattice: PairLattice) -> str:
     primes = set(theorems.graded_primes(g, lattice))
-    maximals = {p for p in lattice.proper() if is_maximal(g, lattice, rep(p))}
+    maximals = set(lattice.maximal_graded)
     lines = [f"admissible pairs: {len(lattice)}"]
     for p in lattice.pairs:
         flags = []

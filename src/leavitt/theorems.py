@@ -5,6 +5,16 @@ Every procedure returns machine-checkable evidence (witness ideals, verified
 families, equivalence reports) rather than a bare verdict, and re-verifies
 its own output where the underlying theory predicts an identity; a failed
 re-verification raises :class:`InternalInconsistencyError`.
+
+The lattice questions are answered from Birkhoff's representation, which
+:class:`PairLattice` keeps: the graded primes over an ideal are the m(j)
+outside its down-set, its graded-prime factorization is the m(j) for the
+minimal j outside, the maximal decomposition is checked as "J is an
+antichain", and a non-graded prime over a component cycle c has one
+candidate pair, the vertices that do not reach c.  What still walks the
+pairs (the counterexample scan, the sampled family, the directedness of
+every quotient) reads each pair's facts off its masks.  The whole-lattice
+scans these replace live in :mod:`leavitt.oracles` as references.
 """
 
 from __future__ import annotations
@@ -19,14 +29,12 @@ from .ideals import (
     IdealRep,
     contains,
     is_prime,
-    is_maximal,
     limit_power,
     make,
     product,
     rep,
     unit_ideal,
     zero_ideal,
-    _directed_complement,
     _graded_prime_flags,
 )
 from .lattice import (
@@ -35,15 +43,24 @@ from .lattice import (
     admissible_pair,
     bottom_pair,
     breaking_vertices,
-    quotient,
+    _avoiding,
+    _bits,
+    _breaking_mask,
+    _close,
+    _mask,
+    _ones,
 )
 from .laurent import QQ, LaurentPoly, factor
 
 
 def graded_primes(g: Graph, lattice: PairLattice) -> List[AdmissiblePair]:
-    """All proper lattice elements that name prime graded ideals, sorted."""
-    flags = _graded_prime_flags(g, lattice)
-    return [p for p in lattice.proper() if flags[p]]
+    """All proper lattice elements that name prime graded ideals, sorted.
+
+    They are the meet-irreducibles m(j); the directedness cross-checks of
+    :func:`_graded_prime_flags` run once per lattice.
+    """
+    _graded_prime_flags(g, lattice)
+    return list(lattice.graded_primes)
 
 
 @dataclass(frozen=True)
@@ -67,32 +84,49 @@ class PrimeFamily:
 
 
 def primes_containing(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeFamily:
-    """All representable primes containing a proper ideal I."""
-    flags = _graded_prime_flags(g, lattice)
+    """All representable primes containing a proper ideal I, read from J.
+
+    Graded: the graded primes are the m(j) (:attr:`PairLattice.graded_primes`),
+    and m(j) lies over I's graded part iff j is not in D(I).  It contains I
+    iff its H also holds every component cycle of I.
+
+    Non-graded: a prime (H, S; (c, f)) over I pins a component cycle c of I,
+    has S = B_H, f irreducible, and the vertices outside H downward directed.
+    Then H is H_c, the vertices that do not reach c: a vertex of H reaching c
+    would pull c into H, and one outside H missing c would have no common
+    lower bound with c, which has no exit outside H.  So each component has
+    one candidate pair, (H_c, B_{H_c}), and one ``_h_facts`` lookup decides
+    its directedness and exitless cycles.  The candidate (H_c, B_{H_c}; (c, f))
+    is kept for each irreducible factor f of c's polynomial when I's graded
+    part lies below the pair, c is an exitless cycle of its quotient, the
+    quotient is downward directed and the candidate contains I.  The pair
+    scan this replaces is :func:`leavitt.oracles.primes_containing_by_scan`.
+    """
+    d = lattice.down_set(I.graded)
+    masks = lattice._masks
+    holds = [_mask(g, cyc.vertices) for cyc, _ in I.components]
     graded = tuple(
-        p for p in lattice.proper() if flags[p] and contains(g, rep(p), I)
+        lattice.pairs[i]
+        for i in sorted(
+            i for j, i in enumerate(lattice.meet_irreducibles)
+            if not d >> j & 1 and not any(c & ~masks[i][0] for c in holds)
+        )
     )
+    index = _bits(g)[0]
     nongraded: List[IdealRep] = []
-    if I.components:
-        # a candidate (pair; cyc, f) has S = B_H, one component and f
-        # irreducible, so is_prime would only test the directedness of the
-        # vertices outside H: factor each component and test each pair once
-        factors = {cyc: tuple(factor(p_c)) for cyc, p_c in I.components}
-        for pair in lattice.proper():
-            if pair.s_set != breaking_vertices(g, pair.h_set):
-                continue
-            if not I.graded.le(pair):
-                continue
-            directed = None
-            for cyc in quotient(g, pair).exitless:
-                for f in factors.get(cyc, ()):
-                    cand = make(g, pair, {cyc: f})
-                    if not contains(g, cand, I):
-                        continue
-                    if directed is None:
-                        directed = _directed_complement(g, pair).prime
-                    if directed:
-                        nongraded.append(cand)
+    for cyc, poly in I.components:
+        h = _avoiding(g, index[cyc.vertices[0]])
+        i = lattice._member((h, _breaking_mask(g, h)), lambda: f"the prime pair over {cyc}")
+        pair = lattice.pairs[i]
+        if not I.graded.le(pair):
+            continue
+        directed, exitless = lattice.quotient_facts(i)
+        if not directed or cyc not in exitless:
+            continue
+        for f in factor(poly):
+            cand = IdealRep(pair, ((cyc, f.unit_free()),))
+            if contains(g, cand, I):
+                nongraded.append(cand)
     nongraded.sort(key=IdealRep.sort_key)
     return PrimeFamily(graded, tuple(nongraded))
 
@@ -169,14 +203,15 @@ def sample_ideal_family(g: Graph, lattice: PairLattice, fld=QQ) -> Iterator[Idea
     and test polynomial is generated; on graphs satisfying Condition (K) the
     family is exactly the proper graded lattice.  Members are built as they
     are drawn, so a caller that stops at its first failure builds no more.
+    The exitless cycles are read off each pair's masks.
     """
     for p in lattice.proper():
         yield rep(p)
     seen = set()
-    for pair in lattice.pairs:
-        for cyc in quotient(g, pair).exitless:
+    for i, pair in enumerate(lattice.pairs):
+        for cyc in lattice.quotient_facts(i)[1]:
             for poly in standard_test_polys(fld):
-                I = make(g, pair, {cyc: poly})
+                I = IdealRep(pair, ((cyc, poly.unit_free()),))
                 if I not in seen:
                     seen.add(I)
                     yield I
@@ -212,16 +247,17 @@ def condition_K_equivalence(g: Graph, lattice: PairLattice, fld=QQ) -> KEquivale
 def prime_intersection_counterexample(g: Graph, lattice: PairLattice, fld=QQ) -> Optional[IdealRep]:
     """An ideal that is provably not an intersection of primes, if one exists.
 
-    Built as (H, S, {(c, (1+x)^2)}) on the first quotient exitless cycle and
-    verified through :func:`intersection_of_primes`; no such ideal exists
-    exactly when the graph satisfies Condition (K).
+    Built as (H, S, {(c, (1+x)^2)}) on the first quotient exitless cycle, the
+    pairs scanned in lattice order by their masks, and verified through
+    :func:`intersection_of_primes`; no such ideal exists exactly when the
+    graph satisfies Condition (K).
     """
     one_x = LaurentPoly.from_coeffs(fld, [1, 1])
-    for pair in lattice.pairs:
-        cycles = quotient(g, pair).exitless
+    for i, pair in enumerate(lattice.pairs):
+        cycles = lattice.quotient_facts(i)[1]
         if not cycles:
             continue
-        I = make(g, pair, {cycles[0]: one_x * one_x})
+        I = IdealRep(pair, ((cycles[0], (one_x * one_x).unit_free()),))
         if intersection_of_primes(g, lattice, I).equals_input:
             raise InternalInconsistencyError(
                 f"{I} is an intersection of primes although its cycle has no exits"
@@ -301,27 +337,27 @@ def uniqueness_check(
 def factor_graded(g: Graph, lattice: PairLattice, I: IdealRep) -> Tuple[AdmissiblePair, ...]:
     """Irredundant graded-prime factorization of a proper graded ideal.
 
-    The product of the returned primes (in any order) equals their meet,
-    which equals I; raises :class:`FactorizationError` when no finite family
-    of graded primes meets I exactly.
+    The graded primes over I are the m(j) for j outside D(I), and m(j) lies
+    below m(k) iff j <= k.  So the minimal ones are the m(j) for j minimal
+    in J minus D(I); their down-sets meet in D(I), and none can be dropped,
+    so they are the unique irredundant factorization.  The product of the
+    returned primes (in any order) equals their meet, which is checked to
+    equal I; the improper ideal raises :class:`FactorizationError`.  The
+    greedy search this replaces is :func:`leavitt.oracles.factor_graded_by_search`.
     """
     if not I.is_graded:
         raise IdealError("factor_graded expects a graded ideal")
-    flags = _graded_prime_flags(g, lattice)
-    over = [p for p in lattice.proper() if flags[p] and I.graded.le(p)]
-    minimal = [p for p in over if not any(q != p and q.le(p) for q in over)]
-    minimal.sort()
-    if not minimal or lattice.meet_all(minimal) != I.graded:
+    d = lattice.down_set(I.graded)
+    below = lattice._birkhoff[1]
+    minimal = [
+        lattice.pairs[i]
+        for i in sorted(
+            i for j, i in enumerate(lattice.meet_irreducibles)
+            if not d >> j & 1 and not below[j] & ~d
+        )
+    ]
+    if not minimal:
         raise FactorizationError(f"no finite graded-prime factorization of {I}")
-    changed = True
-    while changed:
-        changed = False
-        for p in list(minimal):
-            rest = [q for q in minimal if q != p]
-            if rest and lattice.meet_all(rest) == I.graded:
-                minimal.remove(p)
-                changed = True
-                break
     prod = rep(minimal[0])
     for p in minimal[1:]:
         prod = product(g, prod, rep(p))
@@ -367,10 +403,9 @@ def everything_prime_check(g: Graph, lattice: PairLattice, fld=QQ) -> Everything
     graded ideals forming a chain.
     """
     k = condition_K(g).holds
-    # a finite lattice is a chain exactly when no element has two upper covers
-    chain = all(len(lattice.upper_covers(p)) <= 1 for p in lattice.pairs)
-    small_b = all(len(breaking_vertices(g, H)) <= 1 for H in lattice.hs_sets)
-    quots_dd = all(quotient(g, p).directed for p in lattice.pairs)
+    chain = lattice.is_chain
+    small_b = all(_breaking_mask(g, h).bit_count() <= 1 for h, s in lattice._masks if not s)
+    quots_dd = all(lattice.quotient_facts(i)[0] for i in range(len(lattice)))
     criterion = k and chain and small_b and quots_dd
     chain_verdict = k and chain
     all_prime = True
@@ -419,28 +454,33 @@ def maximal_decomposition(g: Graph, lattice: PairLattice) -> Optional[List[Tuple
 
     Exists exactly when every ideal is an intersection of maximal ideals:
     Condition (K) holds and the minimal nonempty hereditary saturated sets
-    partition the vertex set.  On success it is verified that every lattice
-    element is the meet of the maximal graded ideals above it.
+    partition the vertex set.  Every nonempty hereditary saturated set holds
+    close({v}) for each of its vertices v, so those minimal sets are the
+    minimal single-vertex closures.
+
+    On success it is verified that every lattice element is the meet of the
+    maximal graded ideals above it.  In a distributive lattice that holds
+    iff every meet-irreducible m(j) is a maximal graded ideal: J is an
+    antichain, so every m(j) is a coatom, and no coatom's quotient has an
+    exitless cycle.  The per-pair meets this replaces are
+    :func:`leavitt.oracles.maximal_decomposition_by_scan`.
     """
     if not condition_K(g).holds:
         return None
-    hs = [h for h in lattice.hs_sets if h]
-    atoms = [h for h in hs if not any(other and other < h for other in hs)]
-    union = set()
+    closures = {_close(g, 1 << i) for i in range(len(g.vertices))}
+    atoms = [a for a in closures if not any(b != a and not b & ~a for b in closures)]
+    union = 0
     for a in atoms:
         if union & a:
             return None
         union |= a
-    if union != set(g.vertices):
+    if union != (1 << len(g.vertices)) - 1:
         return None
-    maximals = [p for p in lattice.proper() if is_maximal(g, lattice, rep(p))]
-    for p in lattice.pairs:
-        above = [m for m in maximals if p.le(m)]
-        if lattice.meet_all(above) != p:
-            raise InternalInconsistencyError(
-                f"{p} is not the meet of the maximal ideals above it"
-            )
-    return sorted(tuple(sorted(a)) for a in atoms)
+    maximals = lattice.maximal_graded
+    if not lattice.is_antichain or len(maximals) != len(lattice.graded_primes):
+        p = next(p for p in lattice.graded_primes if p not in maximals)
+        raise InternalInconsistencyError(f"{p} is not the meet of the maximal ideals above it")
+    return sorted(tuple(g.vertices[i] for i in _ones(a)) for a in atoms)
 
 
 def krull_check(g: Graph, I: IdealRep) -> bool:

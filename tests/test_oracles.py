@@ -15,10 +15,23 @@ from leavitt.oracles import (
     acyclic_sink_lattice,
     brute_hs,
     closed_path_count_by_search,
+    factor_graded_by_search,
     laurent_model,
+    maximal_decomposition_by_scan,
+    maximal_graded_by_scan,
+    primes_containing_by_scan,
 )
 
 from conftest import forks, lattice_of, loops, random_dag
+
+_REFS = {}
+
+
+def search_of(g):
+    """The searched order of g's lattice, built once per graph."""
+    if g not in _REFS:
+        _REFS[g] = SearchLattice(lattice_of(g))
+    return _REFS[g]
 
 
 def test_brute_hs_examples(named):
@@ -156,7 +169,7 @@ def test_fp_factor_matches_trial_division():
 def test_lattice_engine_matches_search_lattice(corpus):
     for g in corpus + [forks(3), loops(5)]:
         lat = lattice_of(g)
-        ref = SearchLattice(lat)
+        ref = search_of(g)
         # every pair against every pair, except on forks(3) (216 pairs, where
         # the searched meets alone would take seconds): there every 9th pair
         others = lat.pairs if len(lat) <= 64 else lat.pairs[::9]
@@ -214,3 +227,38 @@ def test_graded_product_matches_sink_intersection_on_dags():
                 want = rep(h_of(T1 & T2))
                 assert product(g, rep(h_of(T1)), rep(h_of(T2))) == want
                 assert intersect(g, rep(h_of(T1)), rep(h_of(T2))) == want
+
+
+def test_primes_containing_matches_pair_scan(corpus):
+    from leavitt.theorems import primes_containing, sample_ideal_family
+
+    for g in corpus + [forks(3), loops(5)]:
+        lat, ref = lattice_of(g), search_of(g)
+        for I in sample_ideal_family(g, lat):
+            assert primes_containing(g, lat, I) == primes_containing_by_scan(g, ref, I), (g, I)
+
+
+def test_maximal_graded_and_decomposition_match_pair_scan(corpus):
+    from leavitt.theorems import maximal_decomposition
+
+    for g in corpus + [forks(3), loops(5)]:
+        lat, ref = lattice_of(g), search_of(g)
+        assert list(lat.maximal_graded) == maximal_graded_by_scan(g, ref), g
+        assert maximal_decomposition(g, lat) == maximal_decomposition_by_scan(g, ref), g
+
+
+def test_factor_graded_matches_greedy_search(corpus):
+    from leavitt.errors import FactorizationError
+    from leavitt.ideals import rep
+    from leavitt.theorems import factor_graded
+
+    for g in corpus + [forks(3), loops(5)]:
+        lat, ref = lattice_of(g), search_of(g)
+        for p in lat.pairs:
+            try:
+                want = factor_graded_by_search(g, ref, rep(p))
+            except FactorizationError:
+                with pytest.raises(FactorizationError):
+                    factor_graded(g, lat, rep(p))
+                continue
+            assert factor_graded(g, lat, rep(p)) == want, (g, p)

@@ -273,3 +273,54 @@ def test_chain_of_roses_regression(named):
         assert len(graded_primes(g, lat)) == len(lat) - 1
         maxima = [p for p in lat.proper() if lat.covered_by_top(p)]
         assert len(maxima) == 1
+
+
+def test_primes_containing_reads_one_quotient_per_component(monkeypatch):
+    # one candidate pair per component cycle, whatever the lattice size: count
+    # the lookups of per-H quotient facts on a fresh lattice of 64 pairs
+    from leavitt import lattice
+    from leavitt.lattice import enumerate_pairs
+
+    g = loops(6)
+    lat = enumerate_pairs(g)
+    polys = (ONE_X * ONE_X, ONE_X, ONE_X2)
+    I = make(g, bottom_pair(), {Cycle.from_vertices([f"l{i}"]): p for i, p in enumerate(polys)})
+    calls = []
+    h_facts = lattice._h_facts
+
+    def counted(*args):
+        calls.append(args)
+        return h_facts(*args)
+
+    monkeypatch.setattr(lattice, "_h_facts", counted)
+    fam = primes_containing(g, lat, I)
+    assert len(calls) <= len(I.components)
+    assert len(fam.nongraded) == 3 and len(fam.graded) == 3  # the graded ones hold l0, l1 and l2
+
+
+def test_maximal_list_makes_no_per_pair_maximality_test(monkeypatch, named):
+    import sys
+
+    from leavitt import ideals
+    from leavitt.serialize import analyze_report, lattice_dot, lattice_text
+
+    from conftest import forks
+
+    calls = []
+    original = ideals.is_maximal
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("leavitt") and getattr(module, "is_maximal", None) is original:
+            monkeypatch.setattr(module, "is_maximal", counted)
+    found = 0
+    for g in (named["RR"], named["T1"], forks(2)):
+        lat = lattice_of(g)
+        found += len(analyze_report("g", g, QQ, lat)["maximalGradedIdeals"])
+        lattice_text(g, lat)
+        lattice_dot(g, lat)
+        maximal_decomposition(g, lat)
+    assert found and calls == []
