@@ -16,7 +16,6 @@ from .errors import (
     LatticeError,
     LaurentError,
     LeavittError,
-    UnsupportedConfigurationError,
 )
 from .graphs import (
     OMEGA,
@@ -40,7 +39,6 @@ from .lattice import (
     admissible_pair,
     bottom_pair,
     breaking_vertices,
-    closed_form_meet,
     enumerate_hs,
     enumerate_pairs,
     hereditary_saturated_closure,

@@ -18,13 +18,10 @@ class LaurentError(LeavittError):
 
 
 class IdealError(LeavittError):
-    """Invalid ideal representation."""
+    """Invalid ideal representation or argument.
 
-
-class UnsupportedConfigurationError(IdealError):
-    """Intersection or product requested outside the supported shapes.
-
-    Raised explicitly instead of guessing an answer.
+    Intersections and products are defined for every two ideals over one
+    field, so they raise it only for mixed fields.
     """
 
 

@@ -6,23 +6,20 @@ graph by (H, S) and p a canonical polynomial with nonzero constant term and
 degree at least one.  The ideal is graded iff it has no components.
 
 Containment, intersection, product, powers and the prime/maximal tests all
-work on this representation.  Intersections and products are only defined
-for the configurations the representation can express exactly (both graded,
-equal graded parts, or one graded factor comparable with the other); outside
-those an :class:`UnsupportedConfigurationError` is raised rather than a
-guess returned.
+work on this representation.  By the structure theorem for ideals
+(Rangaswamy, J. Algebra 375, 2013; Abrams, Ara & Siles Molina, *Leavitt Path
+Algebras*, LNM 2191, ch. 2) every ideal has exactly one such name, so
+intersections and products are computed for every pair of ideals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import (
-    IdealError,
-    InternalInconsistencyError,
-    UnsupportedConfigurationError,
-)
+from .errors import IdealError, InternalInconsistencyError
 from .graphs import Cycle, Graph, downward_directed
 from .laurent import LaurentPoly, divides, factor, is_irreducible, poly_lcm
 from .lattice import (
@@ -31,10 +28,14 @@ from .lattice import (
     admissible_pair,
     bottom_pair,
     breaking_vertices,
-    closed_form_meet,
     quotient,
     top_pair,
+    _bits,
     _breaking_mask,
+    _mask,
+    _meet_masks,
+    _names,
+    _quotient_facts,
 )
 
 Component = Tuple[Cycle, LaurentPoly]
@@ -163,56 +164,57 @@ def contains(g: Graph, I: IdealRep, J: IdealRep) -> bool:
     return True
 
 
-def intersect(g: Graph, I: IdealRep, J: IdealRep) -> IdealRep:
-    """Intersection, in the supported configurations.
+def _combine(g: Graph, I: IdealRep, J: IdealRep, merge) -> IdealRep:
+    """I and J combined cycle by cycle; ``merge`` joins two polynomials.
 
-    Both graded: the lattice meet.  Equal graded parts: componentwise lcm
-    over common cycles; a cycle carried by one side only is dropped, since
-    the other ideal contains no nonzero multiple of it.  One factor graded
-    and comparable with the other: the smaller ideal.
+    The graded part is the meet (h, s) of the two graded parts: it is the
+    largest graded ideal in I & J, and in IJ too, since graded ideals
+    multiply as they intersect.  On each exitless cycle c of the quotient by
+    (h, s) an ideal K takes the value 1 when c lies in H_K, p when (c, p) is
+    a component of K, and 0 otherwise.  A merge with 1 gives the other
+    value, and a 0 drops c.  The quotient's cycles come in canonical order,
+    so the result is canonical as built.
     """
     _check_fields(I, J)
-    if I.is_graded and J.is_graded:
-        return rep(closed_form_meet(g, I.graded, J.graded))
-    if I.graded == J.graded:
-        ci, cj = I.component_map(), J.component_map()
-        comps = {c: poly_lcm(ci[c], cj[c]) for c in set(ci) & set(cj)}
-        return make(g, I.graded, comps)
-    if I.is_graded or J.is_graded:
-        if contains(g, I, J):
-            return J
-        if contains(g, J, I):
-            return I
-    raise UnsupportedConfigurationError(
-        "intersection is only supported for graded pairs, equal graded parts, "
-        "or a graded ideal comparable with the other"
-    )
+    a, b = I.graded, J.graded
+    ma, mb = (_mask(g, a.h), _mask(g, a.s)), (_mask(g, b.h), _mask(g, b.s))
+    m = h, s = _meet_masks(g, ma, mb)
+    if m == ma:
+        pair = a
+    elif m == mb:
+        pair = b
+    else:
+        pair = AdmissiblePair.of(_names(g, h), _names(g, s))
+    index = _bits(g)[0]
+    sides = ((ma[0], I.component_map()), (mb[0], J.component_map()))
+    comps = []
+    for cyc in _quotient_facts(g, h, s)[1]:
+        bit = 1 << index[cyc.vertices[0]]
+        # the values of the sides whose H misses c, None for 0 (a 1 merges
+        # away); c lies outside h, so at least one H misses it
+        vals = [ck.get(cyc) for hk, ck in sides if not hk & bit]
+        if None not in vals:
+            comps.append((cyc, reduce(merge, vals).unit_free()))
+    return IdealRep(pair, tuple(comps))
+
+
+def intersect(g: Graph, I: IdealRep, J: IdealRep) -> IdealRep:
+    """Intersection: the meet of the graded parts, polynomials merged by lcm.
+
+    See :func:`_combine`.  A cycle held by one side only is dropped unless
+    the other side's H holds it, since the other ideal contains no nonzero
+    multiple of it.
+    """
+    return _combine(g, I, J, poly_lcm)
 
 
 def product(g: Graph, I: IdealRep, J: IdealRep) -> IdealRep:
-    """Product, in the supported configurations.
+    """Product: the meet of the graded parts, polynomials multiplied.
 
-    For graded ideals the product equals the intersection, hence the lattice
-    meet.  With equal graded parts the common cycle components multiply and
-    one-sided components are absorbed by the graded part.  A graded factor
-    comparable with the other absorbs into the smaller ideal.
+    See :func:`_combine`.  For graded ideals the product is the
+    intersection, the lattice meet.
     """
-    _check_fields(I, J)
-    if I.is_graded and J.is_graded:
-        return rep(closed_form_meet(g, I.graded, J.graded))
-    if I.graded == J.graded:
-        ci, cj = I.component_map(), J.component_map()
-        comps = {c: ci[c] * cj[c] for c in set(ci) & set(cj)}
-        return make(g, I.graded, comps)
-    if I.is_graded or J.is_graded:
-        if contains(g, I, J):
-            return J
-        if contains(g, J, I):
-            return I
-    raise UnsupportedConfigurationError(
-        "product is only supported for graded pairs, equal graded parts, "
-        "or a graded ideal comparable with the other"
-    )
+    return _combine(g, I, J, mul)
 
 
 def power(g: Graph, I: IdealRep, n: int) -> IdealRep:

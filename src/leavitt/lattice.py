@@ -367,11 +367,14 @@ class PairLattice:
         return self._memo(self._join, a, b, compute)
 
     def meet_all(self, items: Iterable[AdmissiblePair]) -> AdmissiblePair:
-        """Meet of a family; the empty family meets to the top pair."""
-        out: Optional[AdmissiblePair] = None
+        """Meet of a family, folded on masks; the empty family meets to the top pair."""
+        m = None
         for p in items:
-            out = p if out is None else self.meet(out, p)
-        return self.top if out is None else out
+            mp = self._masks[self.index(p)]
+            m = mp if m is None else _meet_masks(self.graph, m, mp)
+        if m is None:
+            return self.top
+        return self.pairs[self._member(m, lambda: "the meet of a family")]
 
     @cached_property
     def _birkhoff(self):
@@ -576,22 +579,6 @@ def _meet_masks(g: Graph, a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, 
     (h1, s1), (h2, s2) = a, b
     h = h1 & h2
     return h, (s1 | h1) & (s2 | h2) & _breaking_mask(g, h)
-
-
-def closed_form_meet(g: Graph, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-    """Meet of two pairs, by :func:`_meet_masks`.
-
-    H is re-checked to be hereditary saturated, S <= B_H holds by
-    construction, and the result is checked to lie below both arguments.
-    """
-    h, s = _meet_masks(g, (_mask(g, a.h), _mask(g, a.s)), (_mask(g, b.h), _mask(g, b.s)))
-    if not _is_hs(g, h):
-        raise LatticeError(f"{sorted(_names(g, h))} is not hereditary saturated")
-    vs = g.vertices
-    out = AdmissiblePair(tuple(vs[i] for i in _ones(h)), tuple(vs[i] for i in _ones(s)))
-    if not (out.le(a) and out.le(b)):
-        raise InternalInconsistencyError(f"meet of {a} and {b} is not a lower bound")
-    return out
 
 
 def _quotient_table(g: Graph):

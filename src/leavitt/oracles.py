@@ -3,7 +3,7 @@
 None of these share traversal or arithmetic code paths with the modules they
 check: hereditary saturated sets are filtered definitionally over all vertex
 subsets, the pair order is searched as a full bit matrix, closed simple
-paths are counted by depth-first search, the single-loop graph is replayed
+paths are counted by depth-first search, disjoint loops are replayed
 against direct Laurent-ring ideal arithmetic, and the acyclic sink-powerset
 premise is verified rather than assumed.
 
@@ -16,6 +16,7 @@ built quotient graphs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +39,6 @@ from .ideals import (
 from .lattice import (
     AdmissiblePair,
     PairLattice,
-    bottom_pair,
     breaking_vertices,
     enumerate_hs,
     enumerate_pairs,
@@ -284,59 +284,78 @@ class ModelReport:
             self.mismatches.append(f"{label}: engine {got!r} != model {want!r}")
 
 
-def _single_loop_cycle(g: Graph):
-    cycles = exitless_cycles(g)
-    if len(g.vertices) != 1 or len(cycles) != 1 or len(cycles[0]) != 1:
-        raise GraphError("the Laurent model requires the single-vertex single-loop graph")
-    return cycles[0]
-
-
 def laurent_model(g: Graph, polys: Sequence[LaurentPoly]) -> ModelReport:
-    """Replay the ideal operations on the single-loop graph against K[x, 1/x].
+    """Replay the ideal operations on k disjoint loops against K[x, 1/x]^k.
 
-    Proper nonzero ideals correspond to canonical polynomial generators;
-    containment is divisibility, intersection is lcm, product is
-    multiplication, and the prime/maximal ideals are the irreducible
-    generators.  Every mismatch is recorded.
+    The algebra is a product of k Laurent rings, so an ideal is a tuple of
+    generators, each 0, 1 or a canonical polynomial: containment is
+    componentwise divisibility, intersection componentwise lcm, product
+    componentwise multiplication, and the intersection of the primes over a
+    tuple its componentwise radical.  Among the tuples replayed (entries in
+    {0, 1} and ``polys``, at least one a polynomial; on one loop, the <p>)
+    the primes and the maximal ideals are those with one irreducible entry
+    and 1 elsewhere.  Every mismatch is recorded.
     """
-    cyc = _single_loop_cycle(g)
+    if not g.vertices or g.bundles != {(v, v): 1 for v in g.vertices}:
+        raise GraphError("the Laurent model requires disjoint single loops")
+    cycles = exitless_cycles(g)  # one per vertex, in vertex order
     lattice = enumerate_pairs(g)
-    bottom = bottom_pair()
+    F = polys[0].field
+    zero, one = LaurentPoly.zero(F), LaurentPoly.one(F)
+    polys = [p.unit_free() for p in polys]
     report = ModelReport()
 
-    def ideal_of(p: LaurentPoly) -> IdealRep:
-        return make(g, bottom, {cyc: p})
+    def pair_of(t) -> AdmissiblePair:
+        return AdmissiblePair.of([v for v, x in zip(g.vertices, t) if x == one], ())
 
-    def generator(I: IdealRep) -> LaurentPoly:
-        if I.components:
-            return I.components[0][1]
-        if I.graded == bottom:
-            return LaurentPoly.zero(polys[0].field)
-        return LaurentPoly.one(polys[0].field)
+    def ideal_of(t) -> IdealRep:
+        return make(g, pair_of(t), {c: x for c, x in zip(cycles, t) if x not in (zero, one)})
 
-    for p in polys:
-        p = p.unit_free()
-        I = ideal_of(p)
-        report.expect(f"graded_part <{p}>", graded_part(I), bottom)
-        report.expect(f"limit_power <{p}>", generator(limit_power(g, I)).is_zero, True)
-        report.expect(f"is_prime <{p}>", is_prime(g, lattice, I).prime, is_irreducible(p))
-        report.expect(f"is_maximal <{p}>", is_maximal(g, lattice, I), is_irreducible(p))
+    def generators(I: IdealRep):
+        comps = I.component_map()
+        return tuple(one if c.vertices[0] in I.graded.h else comps.get(c, zero) for c in cycles)
+
+    def name(t) -> str:
+        return "<" + ", ".join(map(str, t)) + ">"
+
+    tuples = [
+        t for t in itertools.product([zero, one] + polys, repeat=len(cycles))
+        if any(x not in (zero, one) for x in t)
+    ]
+    for t in tuples:
+        I = ideal_of(t)
+        entries = [x for x in t if x != one]
+        prime = len(entries) == 1 and is_irreducible(entries[0])
+        report.expect(f"graded_part {name(t)}", graded_part(I), pair_of(t))
+        report.expect(
+            f"limit_power {name(t)}",
+            generators(limit_power(g, I)),
+            tuple(x if x == one else zero for x in t),
+        )
+        report.expect(f"is_prime {name(t)}", is_prime(g, lattice, I).prime, prime)
+        report.expect(f"is_maximal {name(t)}", is_maximal(g, lattice, I), prime)
         for n in (2, 3):
-            report.expect(f"power <{p}>^{n}", generator(power(g, I, n)), (p**n).unit_free())
+            want = tuple((x**n).unit_free() for x in t)
+            report.expect(f"power {name(t)}^{n}", generators(power(g, I, n)), want)
         iop = intersection_of_primes(g, lattice, I)
-        core = squarefree_core(p)
-        report.expect(f"prime intersection over <{p}>", generator(iop.result), core)
-        report.expect(f"prime intersection equals <{p}>", iop.equals_input, core == p)
-        report.expect(f"zero ideal inside <{p}>", contains(g, I, zero_ideal()), True)
-        for q in polys:
-            q = q.unit_free()
-            J = ideal_of(q)
-            report.expect(f"contains <{p}> >= <{q}>", contains(g, I, J), divides(p, q))
+        core = tuple(x if x in (zero, one) else squarefree_core(x) for x in t)
+        report.expect(f"prime intersection over {name(t)}", generators(iop.result), core)
+        report.expect(f"prime intersection equals {name(t)}", iop.equals_input, core == t)
+        report.expect(f"zero ideal inside {name(t)}", contains(g, I, zero_ideal()), True)
+        for u in tuples:
+            J = ideal_of(u)
             report.expect(
-                f"intersect <{p}> & <{q}>", generator(intersect(g, I, J)), poly_lcm(p, q)
+                f"contains {name(t)} >= {name(u)}", contains(g, I, J), all(map(divides, t, u))
             )
             report.expect(
-                f"product <{p}> * <{q}>", generator(product(g, I, J)), (p * q).unit_free()
+                f"intersect {name(t)} & {name(u)}",
+                generators(intersect(g, I, J)),
+                tuple(map(poly_lcm, t, u)),
+            )
+            report.expect(
+                f"product {name(t)} * {name(u)}",
+                generators(product(g, I, J)),
+                tuple((x * y).unit_free() for x, y in zip(t, u)),
             )
     return report
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FactorizationError, IdealError, InternalInconsistencyError
-from .graphs import Graph, condition_K, reaches
+from .graphs import Graph, condition_K
 from .ideals import (
     IdealRep,
     contains,
@@ -40,9 +40,7 @@ from .ideals import (
 from .lattice import (
     AdmissiblePair,
     PairLattice,
-    admissible_pair,
     bottom_pair,
-    breaking_vertices,
     _avoiding,
     _bits,
     _breaking_mask,
@@ -369,12 +367,9 @@ def factor_graded(g: Graph, lattice: PairLattice, I: IdealRep) -> Tuple[Admissib
 
 
 def tight_product_check(g: Graph, factors: Sequence[IdealRep]) -> bool:
-    """Pairwise non-containment of the factors of a supported product."""
+    """Pairwise non-containment of the factors of a product."""
     if not factors:
         raise IdealError("empty factor list")
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = product(g, prod, f)
     for i, a in enumerate(factors):
         for j, b in enumerate(factors):
             if i != j and contains(g, b, a):
@@ -426,7 +421,8 @@ def prime_always_exists(g: Graph, lattice: PairLattice) -> AdmissiblePair:
 
     Under Condition (K) the first graded prime is returned; otherwise H is
     the set of vertices that do not reach the Condition (K) witness, whose
-    complement is downward directed, and (H, B_H) is prime.
+    complement is downward directed, and (H, B_H) is prime: the candidate
+    pair :func:`primes_containing` takes for a cycle through the witness.
     """
     k = condition_K(g)
     if k.holds:
@@ -434,9 +430,9 @@ def prime_always_exists(g: Graph, lattice: PairLattice) -> AdmissiblePair:
         if not primes:
             raise InternalInconsistencyError("Condition (K) holds but no graded prime exists")
         return primes[0]
-    v = k.witness
-    H = frozenset(u for u in g.vertices if not reaches(g, u, v))
-    pair = admissible_pair(g, H, breaking_vertices(g, H))
+    h = _avoiding(g, _bits(g)[0][k.witness])
+    i = lattice._member((h, _breaking_mask(g, h)), lambda: f"the prime pair avoiding {k.witness}")
+    pair = lattice.pairs[i]
     if not is_prime(g, lattice, rep(pair)).prime:
         raise InternalInconsistencyError(f"constructed pair {pair} is not prime")
     return pair

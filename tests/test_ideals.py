@@ -2,7 +2,7 @@
 
 import pytest
 
-from leavitt.errors import IdealError, UnsupportedConfigurationError
+from leavitt.errors import IdealError
 from leavitt.graphs import Cycle, exitless_cycles
 from leavitt.ideals import (
     contains,
@@ -116,18 +116,20 @@ def test_intersect_drops_one_sided_components(named):
     assert intersect(D2, both, I) == I
 
 
-def test_intersect_unsupported_configuration(named):
-    # incomparable graded parts with components on both sides
+def test_intersect_with_incomparable_graded_parts(named):
+    # incomparable graded parts with components on both sides: each side's
+    # H holds the other's cycle, so the polynomials survive over the meet
     D2 = named["D2"]
     c1, c2 = exitless_cycles(D2)
     p1 = AdmissiblePair.of({"v1"}, ())
     p2 = AdmissiblePair.of({"v2"}, ())
     I = make(D2, p1, {c2: ONE_X})
     J = make(D2, p2, {c1: ONE_X})
-    with pytest.raises(UnsupportedConfigurationError):
-        intersect(D2, I, J)
-    with pytest.raises(UnsupportedConfigurationError):
-        product(D2, I, J)
+    want = make(D2, bottom_pair(), {c1: ONE_X, c2: ONE_X})
+    assert intersect(D2, I, J) == product(D2, I, J) == want
+    # <v1> and <1+x on v2>: neither holds a nonzero multiple of the other's part
+    K = make(D2, bottom_pair(), {c2: ONE_X})
+    assert intersect(D2, rep(p1), K) == intersect(D2, K, rep(p1)) == zero_ideal()
 
 
 def test_intersection_is_the_greatest_sampled_lower_bound(corpus):
@@ -135,14 +137,17 @@ def test_intersection_is_the_greatest_sampled_lower_bound(corpus):
         fam = list(sample_ideal_family(g, lattice_of(g)))
         for I in fam:
             for J in fam:
-                try:
-                    R = intersect(g, I, J)
-                except UnsupportedConfigurationError:
-                    continue
+                R = intersect(g, I, J)
                 assert contains(g, I, R) and contains(g, J, R)
+                assert contains(g, R, product(g, I, J))
                 for X in fam:
                     if contains(g, I, X) and contains(g, J, X):
                         assert contains(g, R, X)
+        for I in fam[:8]:
+            for J in fam[:8]:
+                for K in fam[:8]:
+                    left = intersect(g, intersect(g, I, J), K)
+                    assert left == intersect(g, I, intersect(g, J, K))
 
 
 def test_product_configurations(named):
@@ -165,11 +170,12 @@ def test_product_is_commutative(corpus):
         fam = list(sample_ideal_family(g, lattice_of(g)))
         for I in fam:
             for J in fam:
-                try:
-                    left = product(g, I, J)
-                except UnsupportedConfigurationError:
-                    continue
+                left = product(g, I, J)
                 assert left == product(g, J, I)
+        for I in fam[:8]:
+            for J in fam[:8]:
+                for K in fam[:8]:
+                    assert product(g, product(g, I, J), K) == product(g, I, product(g, J, K))
 
 
 def test_power(named):

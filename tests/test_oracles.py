@@ -72,10 +72,13 @@ def test_laurent_model_on_fixed_polys(named):
     report = laurent_model(L1, polys)
     assert report.ok, report.mismatches
     assert report.checked > 100
+    for k, fld, texts in ((2, QQ, ("1+x", "1+x^2", "1+2x+x^2")), (3, GF(3), ("1+x", "1+x^2"))):
+        report = laurent_model(loops(k), [parse_poly(fld, t) for t in texts])
+        assert report.ok, report.mismatches[:5]
 
 
-def test_laurent_model_requires_the_single_loop(named):
-    with pytest.raises(GraphError, match="single-vertex single-loop"):
+def test_laurent_model_requires_disjoint_loops(named):
+    with pytest.raises(GraphError, match="disjoint single loops"):
         laurent_model(named["T1"], [parse_poly(QQ, "1+x")])
 
 
