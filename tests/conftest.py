@@ -76,13 +76,16 @@ def named():
     return named_graphs()
 
 
+def random_corpus():
+    """The seeded random graphs of the corpus."""
+    rng = random.Random(CORPUS_SEED)
+    return [random_graph(rng) for _ in range(CORPUS_RANDOM)]
+
+
 @pytest.fixture(scope="session")
 def corpus(named):
     """Named graphs plus the seeded random corpus."""
-    rng = random.Random(CORPUS_SEED)
-    graphs = list(named.values())
-    graphs.extend(random_graph(rng) for _ in range(CORPUS_RANDOM))
-    return graphs
+    return list(named.values()) + random_corpus()
 
 
 _LATTICES = {}

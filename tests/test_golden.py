@@ -1,9 +1,10 @@
-"""Pinned CLI output: stdout and exit code of every case, byte for byte.
+"""Pinned CLI output: stdout, stderr and exit code of every case, byte for byte.
 
 The cases run in one fresh interpreter, from the repository root, through
 runpy as ``python -m leavitt.cli`` does; graphs that are not demo files are
 fed through stdin as ``-``.  The snapshot in ``golden/cli.json`` was written
-by this file's ``__main__`` block, one JSON record per line; rewrite it only when an output change is
+by this file's ``__main__`` block, one JSON record per line (``stderr`` only
+when the command wrote to it); rewrite it only when an output change is
 intended:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,7 +31,10 @@ for argv, stdin in json.loads(sys.stdin.read()):
             runpy.run_module("leavitt.cli", run_name="__main__")
         except SystemExit as e:
             code = e.code
-    results.append({"argv": argv, "exit": code, "stdout": out.getvalue()})
+    record = {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    if err.getvalue():
+        record["stderr"] = err.getvalue()
+    results.append(record)
 print(json.dumps(results))
 """
 
@@ -40,10 +44,22 @@ IDEAL_OPS = ("gr", "primes-over", "decompose", "factor")
 # A few ideal literals per demo graph, as (H, S, components): graded pairs
 # (one with a breaking vertex in S), and components on exitless cycles of
 # quotients, two of which the CLI rejects (a unit polynomial, and a cycle
-# absorbed into H).
+# absorbed into H).  B1 also carries invalid pairs, pinning which error wins:
+# an S vertex outside B_H (unknown or not), an unknown H vertex, an H that is
+# not hereditary saturated; and a repeated H vertex, which is accepted.
 DEMO_LITERALS = {
     "A3": [((), (), ()), (("u0", "u1", "u2"), (), ())],
-    "B1": [((), (), ()), (("a",), (), ()), (("a",), ("u",), ()), (("b",), (), ())],
+    "B1": [
+        ((), (), ()),
+        (("a",), (), ()),
+        (("a",), ("u",), ()),
+        (("b",), (), ()),
+        (("a",), ("zz",), ()),
+        (("zz",), (), ()),
+        (("u",), (), ()),
+        (("b",), ("u",), ()),
+        (("a", "a"), (), ()),
+    ],
     "C2": [((), (), ()), (("v1",), (), ())],
     "D2": [
         ((), (), ()),
@@ -129,13 +145,17 @@ def run_cases(case_list):
     return json.loads(proc.stdout)
 
 
+def _outcome(record):
+    return record["exit"], record["stdout"], record.get("stderr")
+
+
 def test_cli_output_matches_snapshot():
     with open(SNAPSHOT, encoding="utf-8") as handle:
         want = [json.loads(line) for line in handle]
     got = run_cases(cases())
     assert [r["argv"] for r in got] == [r["argv"] for r in want]
     for g, w in zip(got, want):
-        assert (g["exit"], g["stdout"]) == (w["exit"], w["stdout"]), g["argv"]
+        assert _outcome(g) == _outcome(w), g["argv"]
 
 
 if __name__ == "__main__":
