@@ -8,7 +8,10 @@ edges.  Individual edges are addressed as ``(source, target, index)`` with
 
 The module also holds the path-level decision procedures: vertex
 classification, reachability, downward directedness, exitless cycles,
-Condition (L) and Condition (K).
+Condition (L) and Condition (K).  Each graph keeps its vertex bitmasks
+(vertex i of the sorted vertex tuple is bit ``1 << i``): successor masks,
+built with the vertex classes, and reach masks, built on first use; the
+lattice layer and the strong components of Condition (K) read them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .errors import GraphError
 
@@ -129,8 +132,8 @@ class Graph:
     """Immutable directed multigraph over string vertex identifiers."""
 
     __slots__ = (
-        "vertices", "bundles", "_out", "_in", "_reach", "_breaking", "_bits", "_reach_masks",
-        "_quotients", "_quotient_table", "_condition_K",
+        "vertices", "bundles", "_out", "_in", "_bits", "_reach_masks", "_pairs",
+        "_quotient_table", "_condition_K",
     )
 
     def __init__(self, vertices: Iterable[str], bundles: Mapping[Tuple[str, str], Multiplicity]):
@@ -158,11 +161,9 @@ class Graph:
             inc[dst].append((src, clean[(src, dst)]))
         self._out = out
         self._in = inc
-        self._reach = {}
-        self._breaking = {}  # hereditary saturated set -> its breaking vertices
-        self._bits = None  # vertex bitmasks, built by the lattice module on first use
-        self._reach_masks = None  # per-vertex reach bitmasks, likewise
-        self._quotients = {}  # admissible pair -> its quotient graph
+        self._bits = None  # vertex bitmasks, built on first use (see _bits)
+        self._reach_masks = None  # per-vertex reach bitmasks, likewise (see _reach)
+        self._pairs = {}  # (H, S) name tuples -> validated (h, s) masks, kept by the lattice module
         self._quotient_table = None  # per-graph quotient facts, built by the lattice module
         self._condition_K = None  # the Condition (K) report, decided on first use
 
@@ -228,12 +229,72 @@ def classify(g: Graph, v: str) -> VertexClass:
     return VertexClass.INFINITE_EMITTER
 
 
+def _bits(g: Graph):
+    """``(index, succ, regular, emitters)`` for g, computed once and kept on it.
+
+    Vertex i of ``g.vertices`` is bit ``1 << i`` and ``index[v] == i``;
+    ``succ[i]`` is the mask of vertex i's successors, ``regular`` lists the i
+    of the regular vertices, and ``emitters`` holds ``(i, omega, succ[i])``
+    for each infinite emitter i, ``omega`` being the mask of the targets of
+    its infinite bundles.  Reach masks are kept apart (:func:`_reach`), as
+    only closures, quotients and strong components need them.
+    """
+    if g._bits is None:
+        index = {v: i for i, v in enumerate(g.vertices)}
+
+        def mask(ws):  # the bits are distinct, so the sum is a union
+            return sum(1 << index[w] for w in ws)
+
+        succ = tuple(mask(g.successors(v)) for v in g.vertices)
+        kinds = [classify(g, v) for v in g.vertices]
+        g._bits = (
+            index,
+            succ,
+            tuple(i for i, k in enumerate(kinds) if k == VertexClass.REGULAR),
+            tuple(
+                (i, mask(w for w, m in g.out_bundles(v) if not is_finite(m)), succ[i])
+                for i, v in enumerate(g.vertices)
+                if kinds[i] == VertexClass.INFINITE_EMITTER
+            ),
+        )
+    return g._bits
+
+
+def _reach(g: Graph) -> Tuple[int, ...]:
+    """``reach[i]``, the mask of what vertex i reaches, itself included; kept on g."""
+    if g._reach_masks is None:
+        succ = _bits(g)[1]
+        g._reach_masks = tuple(_reach_mask(succ, i) for i in range(len(succ)))
+    return g._reach_masks
+
+
+def _ones(m: int) -> Iterator[int]:
+    """The set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _reach_mask(succ: Tuple[int, ...], i: int) -> int:
+    """Mask of the vertices reachable from vertex i, itself included: BFS over successor masks."""
+    seen = frontier = 1 << i
+    while frontier:
+        step = 0
+        for j in _ones(frontier):
+            step |= succ[j]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
 def reachable_from(g: Graph, u: str) -> frozenset:
-    """All vertices reachable from u, including u (length-0 path)."""
+    """All vertices reachable from u, including u (length-0 path).
+
+    A search over the bundles, kept apart from the reach masks so that the
+    closed-path oracle does not share them.
+    """
     g._check(u)
-    cached = g._reach.get(u)
-    if cached is not None:
-        return cached
     seen = {u}
     stack = [u]
     while stack:
@@ -242,9 +303,7 @@ def reachable_from(g: Graph, u: str) -> frozenset:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    result = frozenset(seen)
-    g._reach[u] = result
-    return result
+    return frozenset(seen)
 
 
 def reaches(g: Graph, u: str, v: str) -> bool:
@@ -338,30 +397,29 @@ def simple_closed_path_count(g: Graph, v: str) -> int:
     stays in the strongly connected component C of v, so the count depends
     on C alone (:func:`_closed_path_count`).
     """
-    return _closed_path_count(g, _strong_component(g, v))
+    g._check(v)
+    return _closed_path_count(g, _strong_component(g, _bits(g)[0][v]))
 
 
-def _strong_component(g: Graph, v: str) -> set:
-    """The strongly connected component of v: what v reaches that reaches v back."""
-    ahead = reachable_from(g, v)
-    comp, stack = {v}, [v]
-    while stack:
-        for u, _ in g.in_bundles(stack.pop()):
-            if u in ahead and u not in comp:
-                comp.add(u)
-                stack.append(u)
-    return comp
+def _strong_component(g: Graph, i: int) -> int:
+    """Mask of the strongly connected component of vertex i: what i reaches that reaches i back."""
+    reach = _reach(g)
+    return sum(1 << j for j in _ones(reach[i]) if reach[j] >> i & 1)
 
 
-def _closed_path_count(g: Graph, comp: set) -> int:
+def _closed_path_count(g: Graph, comp: int) -> int:
     """Closed simple paths based at any vertex of the strongly connected component comp, up to 2.
 
-    If a vertex of comp has two edges into comp (two bundles, or
-    multiplicity above 1), a shortest path from the base to it, either edge
-    and a shortest path back give two such paths.  Otherwise comp is one
-    cycle (one path) or one vertex without a loop (none).
+    comp is a vertex mask.  If a vertex of comp has two edges into comp (two
+    bundles, or multiplicity above 1), a shortest path from the base to it,
+    either edge and a shortest path back give two such paths.  Otherwise
+    comp is one cycle (one path) or one vertex without a loop (none).
     """
-    inside = [sum((m for w, m in g.out_bundles(u) if w in comp), 0) for u in comp]
+    index = _bits(g)[0]
+    inside = [
+        sum((m for w, m in g.out_bundles(g.vertices[i]) if comp >> index[w] & 1), 0)
+        for i in _ones(comp)
+    ]
     if inside == [0]:
         return 0
     return 1 if all(m == 1 for m in inside) else 2
@@ -377,11 +435,11 @@ def condition_K(g: Graph) -> ConditionReport:
     if g._condition_K is None:
         counts = {}
         witness = None
-        for v in g.vertices:
-            if v not in counts:
-                comp = _strong_component(g, v)
-                counts.update(dict.fromkeys(comp, _closed_path_count(g, comp)))
-            if counts[v] == 1:
+        for i, v in enumerate(g.vertices):
+            if i not in counts:
+                comp = _strong_component(g, i)
+                counts.update(dict.fromkeys(_ones(comp), _closed_path_count(g, comp)))
+            if counts[i] == 1:
                 witness = v
                 break
         g._condition_K = ConditionReport(witness is None, witness)

@@ -10,6 +10,12 @@ work on this representation.  By the structure theorem for ideals
 (Rangaswamy, J. Algebra 375, 2013; Abrams, Ara & Siles Molina, *Leavitt Path
 Algebras*, LNM 2191, ch. 2) every ideal has exactly one such name, so
 intersections and products are computed for every pair of ideals.
+
+The graded part is carried by name, for the public API and JSON; every test
+on it reads its ``(h, s)`` vertex masks from :func:`leavitt.lattice._pair_masks`,
+which validates the pair once per graph, and the quotient facts from
+:func:`leavitt.lattice._quotient_facts`.  Only :func:`is_maximal` builds a
+quotient graph.
 """
 
 from __future__ import annotations
@@ -20,22 +26,20 @@ from operator import mul
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import IdealError, InternalInconsistencyError
-from .graphs import Cycle, Graph, downward_directed
+from .graphs import Cycle, Graph, _bits, downward_directed
 from .laurent import LaurentPoly, divides, factor, is_irreducible, poly_lcm
 from .lattice import (
     AdmissiblePair,
     PairLattice,
-    admissible_pair,
     bottom_pair,
-    breaking_vertices,
     quotient,
     top_pair,
-    _bits,
     _breaking_mask,
-    _mask,
     _meet_masks,
-    _names,
+    _pair,
+    _pair_masks,
     _quotient_facts,
+    _vertices,
 )
 
 Component = Tuple[Cycle, LaurentPoly]
@@ -104,8 +108,9 @@ def make(
     component cycle must be an exitless cycle of the quotient graph by the
     pair, and the polynomial must have degree at least one.
     """
-    pair = admissible_pair(g, pair.h_set, pair.s_set)
+    h, s = _pair_masks(g, pair)
     items = components.items() if isinstance(components, Mapping) else list(components)
+    exitless = _quotient_facts(g, h, s)[1] if items else ()
     cleaned = []
     field = None
     for cyc, p in items:
@@ -120,7 +125,7 @@ def make(
         p = p.unit_free()
         if p.degree < 1:
             raise IdealError(f"component polynomial {p} is a unit; degree >= 1 required")
-        if cyc not in quotient(g, pair).exitless:
+        if cyc not in exitless:
             raise IdealError(
                 f"cycle {'->'.join(cyc.vertices)} is not an exitless cycle of the "
                 f"quotient graph by {pair}"
@@ -146,17 +151,20 @@ def _check_fields(I: IdealRep, J: IdealRep):
 def contains(g: Graph, I: IdealRep, J: IdealRep) -> bool:
     """True iff J is contained in I.
 
-    Requires graded(J) <= graded(I), and each component (c, p) of J either
-    has all its vertices absorbed into H_I or is matched by a component
-    (c, q) of I with q dividing p.
+    Requires graded(J) <= graded(I) in the mask order, and each component
+    (c, p) of J either lies in H_I or is matched by a component (c, q) of I
+    with q dividing p.  H_I is hereditary, so c lies in it as soon as one
+    vertex of c does.
     """
     _check_fields(I, J)
-    if not J.graded.le(I.graded):
+    h_i, s_i = _pair_masks(g, I.graded)
+    h_j, s_j = _pair_masks(g, J.graded)
+    if h_j & ~h_i or s_j & ~(h_i | s_i):
         return False
-    h_i = I.graded.h_set
+    index = _bits(g)[0]
     comp_i = I.component_map()
     for cyc, p in J.components:
-        if set(cyc.vertices) <= h_i:
+        if h_i >> index[cyc.vertices[0]] & 1:
             continue
         q = comp_i.get(cyc)
         if q is None or not divides(q, p):
@@ -172,26 +180,26 @@ def _combine(g: Graph, I: IdealRep, J: IdealRep, merge) -> IdealRep:
     multiply as they intersect.  On each exitless cycle c of the quotient by
     (h, s) an ideal K takes the value 1 when c lies in H_K, p when (c, p) is
     a component of K, and 0 otherwise.  A merge with 1 gives the other
-    value, and a 0 drops c.  The quotient's cycles come in canonical order,
-    so the result is canonical as built.
+    value, and a 0 drops c.  c lies outside h, so some side's H misses it
+    and takes the value p or 0 there: only the two sides' component cycles
+    can be kept, and two graded ideals combine to a graded one.  The cycles
+    are walked in canonical order, so the result is canonical as built.
     """
     _check_fields(I, J)
-    a, b = I.graded, J.graded
-    ma, mb = (_mask(g, a.h), _mask(g, a.s)), (_mask(g, b.h), _mask(g, b.s))
+    ma, mb = _pair_masks(g, I.graded), _pair_masks(g, J.graded)
     m = h, s = _meet_masks(g, ma, mb)
-    if m == ma:
-        pair = a
-    elif m == mb:
-        pair = b
-    else:
-        pair = AdmissiblePair.of(_names(g, h), _names(g, s))
+    pair = I.graded if m == ma else J.graded if m == mb else _pair(g, h, s)
+    if I.is_graded and J.is_graded:
+        return IdealRep(pair)
     index = _bits(g)[0]
     sides = ((ma[0], I.component_map()), (mb[0], J.component_map()))
+    exitless = _quotient_facts(g, h, s)[1]
     comps = []
-    for cyc in _quotient_facts(g, h, s)[1]:
+    for cyc in sorted(sides[0][1].keys() | sides[1][1].keys()):
+        if cyc not in exitless:
+            continue
         bit = 1 << index[cyc.vertices[0]]
-        # the values of the sides whose H misses c, None for 0 (a 1 merges
-        # away); c lies outside h, so at least one H misses it
+        # the values of the sides whose H misses c, None for 0 (a 1 merges away)
         vals = [ck.get(cyc) for hk, ck in sides if not hk & bit]
         if None not in vals:
             comps.append((cyc, reduce(merge, vals).unit_free()))
@@ -315,9 +323,10 @@ def is_prime(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeWitness:
     if len(I.components) > 1:
         split = tuple(IdealRep(I.graded, (cp,)) for cp in I.components)
         return PrimeWitness(False, "proper-factorization-witness", split)
-    bh = breaking_vertices(g, I.graded.h_set)
-    if I.graded.s_set != bh:
-        return PrimeWitness(False, "S-not-full", tuple(sorted(bh - I.graded.s_set)))
+    h, s = _pair_masks(g, I.graded)
+    bh = _breaking_mask(g, h)
+    if s != bh:
+        return PrimeWitness(False, "S-not-full", _vertices(g, bh & ~s))
     (cyc, p), = I.components
     fac = factor(p)
     if list(fac.values()) != [1]:
@@ -326,15 +335,9 @@ def is_prime(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeWitness:
             "reducible-polynomial",
             tuple(sorted(fac.items(), key=lambda kv: kv[0].sort_key())),
         )
-    return _directed_complement(g, I.graded)
-
-
-def _directed_complement(g: Graph, pair: AdmissiblePair) -> PrimeWitness:
-    """Verdict on an ideal with one irreducible component over the full-S pair.
-
-    Such an ideal is prime iff the vertices outside H are downward directed.
-    """
-    report = downward_directed(g, [v for v in g.vertices if v not in pair.h_set])
+    # one irreducible component over the full-S pair: prime iff the vertices
+    # outside H are downward directed
+    report = downward_directed(g, _vertices(g, ((1 << len(g.vertices)) - 1) & ~h))
     if not report.holds:
         return PrimeWitness(False, "quotient-not-downward-directed", report.witness)
     return PrimeWitness(True)
@@ -358,7 +361,8 @@ def is_maximal(g: Graph, lattice: PairLattice, I: IdealRep) -> bool:
         return I.graded in lattice.maximal_graded
     if len(I.components) != 1:
         return False
-    if I.graded.s_set != breaking_vertices(g, I.graded.h_set):
+    h, s = _pair_masks(g, I.graded)
+    if s != _breaking_mask(g, h):
         return False
     (cyc, p), = I.components
     if not is_irreducible(p):

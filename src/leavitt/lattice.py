@@ -4,9 +4,14 @@ An admissible pair ``(H, S)`` is a hereditary saturated vertex set H together
 with a set S of breaking vertices of H; it names the graded ideal generated
 by H and the elements ``v - sum(e e* : s(e)=v, r(e) not in H)`` for v in S.
 The pairs are ordered by ``(H1,S1) <= (H2,S2) iff H1 <= H2 and S1 <= H2|S2``
-and form a finite distributive lattice.  Vertex sets are handled as int
-bitmasks, the hereditary saturated sets are listed by Ganter's NextClosure,
-and meets and joins come from closed forms.
+and form a finite distributive lattice.
+
+The engine works on vertex bitmasks (:func:`leavitt.graphs._bits`).  Names
+become masks at one boundary, :func:`_pair_masks`, which validates a pair and
+memoizes its ``(h, s)`` masks per graph; masks become names in
+:func:`_pair`, for the public API, labels, sort order and JSON.  The
+hereditary saturated sets are listed by Ganter's NextClosure, and meets and
+joins come from closed forms.
 
 Everything else about the order is read from Birkhoff's representation
 (Davey & Priestley, *Introduction to Lattices and Order*, ch. 5), kept once
@@ -18,82 +23,21 @@ the coatoms are the m(j) for maximal j; the lattice is a chain iff J is.
 
 Per-pair quotient facts (downward directedness and exitless cycles) are read
 off the pair's masks, from the terminal strongly connected components of
-E \\ H (found once per H); the quotient graph itself is built only when it
-is asked for.
+E \\ H (found once per H); :func:`quotient` builds the quotient graph itself
+for the public API.  The name-level pair order is a reference in
+:mod:`leavitt.oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import InternalInconsistencyError, LatticeError
-from .graphs import Cycle, Graph, VertexClass, classify, is_finite
+from .graphs import Cycle, Graph, _bits, _ones, _reach, is_finite
 
 VertexSet = frozenset
-
-
-def _bits(g: Graph):
-    """``(index, succ, regular, emitters)`` for g, computed once and kept on it.
-
-    Vertex i of ``g.vertices`` is bit ``1 << i`` and ``index[v] == i``;
-    ``succ[i]`` is the mask of vertex i's successors, ``regular`` lists the i
-    of the regular vertices, and ``emitters`` holds ``(i, omega, succ[i])``
-    for each infinite emitter i, ``omega`` being the mask of the targets of
-    its infinite bundles.  Reach masks are kept apart (:func:`_reach`), as
-    only closures and quotients need them.
-    """
-    if g._bits is None:
-        index = {v: i for i, v in enumerate(g.vertices)}
-
-        def mask(ws):  # the bits are distinct, so the sum is a union
-            return sum(1 << index[w] for w in ws)
-
-        succ = tuple(mask(g.successors(v)) for v in g.vertices)
-        kinds = [classify(g, v) for v in g.vertices]
-        g._bits = (
-            index,
-            succ,
-            tuple(i for i, k in enumerate(kinds) if k == VertexClass.REGULAR),
-            tuple(
-                (i, mask(w for w, m in g.out_bundles(v) if not is_finite(m)), succ[i])
-                for i, v in enumerate(g.vertices)
-                if kinds[i] == VertexClass.INFINITE_EMITTER
-            ),
-        )
-    return g._bits
-
-
-def _reach(g: Graph) -> Tuple[int, ...]:
-    """``reach[i]``, the mask of what vertex i reaches, itself included.
-
-    Built when a closure or a quotient first needs it, and kept on g.
-    """
-    if g._reach_masks is None:
-        succ = _bits(g)[1]
-        g._reach_masks = tuple(_reach_mask(succ, i) for i in range(len(succ)))
-    return g._reach_masks
-
-
-def _ones(m: int) -> Iterator[int]:
-    """The set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
-
-def _reach_mask(succ: Tuple[int, ...], i: int) -> int:
-    """Mask of the vertices reachable from vertex i, itself included: BFS over successor masks."""
-    seen = frontier = 1 << i
-    while frontier:
-        step = 0
-        for j in _ones(frontier):
-            step |= succ[j]
-        frontier = step & ~seen
-        seen |= frontier
-    return seen
 
 
 def _mask(g: Graph, X: Iterable[str]) -> int:
@@ -105,8 +49,10 @@ def _mask(g: Graph, X: Iterable[str]) -> int:
     return m
 
 
-def _names(g: Graph, m: int) -> VertexSet:
-    return frozenset(v for i, v in enumerate(g.vertices) if m >> i & 1)
+def _vertices(g: Graph, m: int) -> Tuple[str, ...]:
+    """The vertices of the mask m, sorted (``g.vertices`` is)."""
+    vs = g.vertices
+    return tuple(vs[i] for i in _ones(m))
 
 
 def _close(g: Graph, m: int) -> int:
@@ -136,7 +82,7 @@ def _close(g: Graph, m: int) -> int:
 
 def hereditary_saturated_closure(g: Graph, X: Iterable[str]) -> VertexSet:
     """Least hereditary saturated superset of X."""
-    return _names(g, _close(g, _mask(g, X)))
+    return frozenset(_vertices(g, _close(g, _mask(g, X))))
 
 
 def _vkey(s: Iterable[str]) -> Tuple[str, ...]:
@@ -174,7 +120,7 @@ def enumerate_hs(g: Graph) -> List[VertexSet]:
     The family comes from :func:`_hs_masks`; the oracle suite checks it
     against the brute-force filter over all subsets.
     """
-    return sorted((_names(g, m) for m in _hs_masks(g)), key=_vkey)
+    return sorted((frozenset(_vertices(g, m)) for m in _hs_masks(g)), key=_vkey)
 
 
 def _breaking_mask(g: Graph, h: int) -> int:
@@ -203,42 +149,21 @@ def _is_hs(g: Graph, m: int) -> bool:
 
 
 def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
-    """Infinite emitters outside H with finitely many (>=1) edges into E0\\H.
-
-    Memoized on the graph per hereditary saturated set.
-    """
-    hset = frozenset(H)
-    hit = g._breaking.get(hset)
-    if hit is not None:
-        return hit
-    mask = _mask(g, hset)
-    if not _is_hs(g, mask):
-        raise LatticeError(f"{sorted(hset)} is not hereditary saturated")
-    hit = g._breaking[hset] = _names(g, _breaking_mask(g, mask))
-    return hit
+    """Infinite emitters outside H with finitely many (>=1) edges into E0\\H."""
+    h, _ = _pair_masks(g, AdmissiblePair.of(H, ()))
+    return frozenset(_vertices(g, _breaking_mask(g, h)))
 
 
 @dataclass(frozen=True, order=True)
 class AdmissiblePair:
-    """Canonical (H, S): both parts stored as sorted tuples."""
+    """Canonical (H, S): both parts stored as sorted tuples without repeats."""
 
     h: Tuple[str, ...]
     s: Tuple[str, ...]
 
     @classmethod
     def of(cls, H: Iterable[str], S: Iterable[str]) -> "AdmissiblePair":
-        return cls(_vkey(H), _vkey(S))
-
-    @cached_property
-    def h_set(self) -> VertexSet:
-        return frozenset(self.h)
-
-    @cached_property
-    def s_set(self) -> VertexSet:
-        return frozenset(self.s)
-
-    def le(self, other: "AdmissiblePair") -> bool:
-        return self.h_set <= other.h_set and self.s_set <= (other.h_set | other.s_set)
+        return cls(_vkey(set(H)), _vkey(set(S)))
 
     def label(self) -> str:
         return "({%s}, {%s})" % (",".join(self.h), ",".join(self.s))
@@ -247,14 +172,43 @@ class AdmissiblePair:
         return self.label()
 
 
+def _pair_masks(g: Graph, p: AdmissiblePair) -> Tuple[int, int]:
+    """The masks ``(h, s)`` of the pair p, validated; memoized on g per pair.
+
+    This is where names become masks.  An unknown vertex of H raises
+    :class:`GraphError`; an H that is not hereditary saturated, or an S that
+    is not a subset of B_H (an unknown vertex of S included), raises
+    :class:`LatticeError`, in that order.
+    """
+    key = p.h, p.s  # a plain tuple hashes and compares without Python-level calls
+    hit = g._pairs.get(key)
+    if hit is None:
+        h = _mask(g, p.h)
+        if not _is_hs(g, h):
+            raise LatticeError(f"{list(p.h)} is not hereditary saturated")
+        bh, index = _breaking_mask(g, h), _bits(g)[0]
+        s = 0
+        for v in p.s:
+            i = index.get(v)
+            if i is None or not bh >> i & 1:
+                raise LatticeError(
+                    f"S={list(p.s)} is not a subset of B_H={list(_vertices(g, bh))}"
+                )
+            s |= 1 << i
+        hit = g._pairs[key] = (h, s)
+    return hit
+
+
+def _pair(g: Graph, h: int, s: int) -> AdmissiblePair:
+    """The pair with masks (h, s): where masks become names."""
+    return AdmissiblePair(_vertices(g, h), _vertices(g, s))
+
+
 def admissible_pair(g: Graph, H: Iterable[str], S: Iterable[str]) -> AdmissiblePair:
     """Validated admissible pair for g."""
-    hset = frozenset(H)
-    sset = frozenset(S)
-    bh = breaking_vertices(g, hset)
-    if not sset <= bh:
-        raise LatticeError(f"S={sorted(sset)} is not a subset of B_H={sorted(bh)}")
-    return AdmissiblePair.of(hset, sset)
+    p = AdmissiblePair.of(H, S)
+    _pair_masks(g, p)
+    return p
 
 
 def bottom_pair() -> AdmissiblePair:
@@ -280,16 +234,9 @@ class PairLattice:
     are read off them (:meth:`quotient_facts`).
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        pairs: List[AdmissiblePair],
-        masks: Optional[List[Tuple[int, int]]] = None,
-    ):
-        """``masks``, when given, holds the ``(h, s)`` masks of ``pairs``, in the same order."""
+    def __init__(self, graph: Graph, pairs: List[AdmissiblePair], masks: List[Tuple[int, int]]):
+        """``masks`` holds the ``(h, s)`` masks of ``pairs``, in the same order."""
         self.graph = graph
-        if masks is None:
-            masks = [(_mask(graph, p.h), _mask(graph, p.s)) for p in pairs]
         # the dataclass order, on plain tuples
         order = sorted(range(len(pairs)), key=lambda i: (pairs[i].h, pairs[i].s))
         self.pairs = tuple(pairs[i] for i in order)
@@ -329,13 +276,9 @@ class PairLattice:
         i = self._at.get(m)
         if i is None:
             raise InternalInconsistencyError(
-                f"{source()} gives {self._named(m)}, which is not in the lattice"
+                f"{source()} gives {_pair(self.graph, *m)}, which is not in the lattice"
             )
         return i
-
-    def _named(self, m: Tuple[int, int]) -> AdmissiblePair:
-        h, s = (_names(self.graph, x) for x in m)
-        return AdmissiblePair.of(h, s)
 
     @cached_property
     def _proper(self) -> Tuple[AdmissiblePair, ...]:
@@ -429,7 +372,7 @@ class PairLattice:
             h = s = 0
             for k in _ones(d):
                 h, s = h | J[k][0], s | J[k][1]
-            named = self._named(_normalize(self.graph, h, s))
+            named = _pair(self.graph, *_normalize(self.graph, h, s))
             raise InternalInconsistencyError(f"{source()} is {named}, which is not in the lattice")
         return i
 
@@ -476,7 +419,7 @@ class PairLattice:
                 if b >> j & 1:
                     up |= 1 << k
             out.append(self._with_down(
-                full & ~up, lambda: f"the meet-irreducible over {self._named(J[j])}"
+                full & ~up, lambda: f"the meet-irreducible over {_pair(self.graph, *J[j])}"
             ))
         return tuple(out)
 
@@ -521,6 +464,18 @@ class PairLattice:
         """:func:`_quotient_facts` of pair i, read off its masks."""
         return _quotient_facts(self.graph, *self._masks[i])
 
+    def prime_avoiding(self, v: str) -> int:
+        """Index of the pair (H, B_H), H the vertices that do not reach vertex v.
+
+        H is hereditary, and saturated when v lies on a cycle: a regular
+        vertex whose successors all miss v misses it too, unless it is v
+        itself, whose successor on the cycle reaches v.  This is the one
+        candidate pair of a prime that pins a cycle through v.
+        """
+        g = self.graph
+        h = ((1 << len(g.vertices)) - 1) & ~_quotient_table(g)[0][_bits(g)[0][v]]
+        return self._member((h, _breaking_mask(g, h)), lambda: f"the pair avoiding {v}")
+
 
 def _join_irreducibles(g: Graph) -> List[Tuple[int, int]]:
     """Masks (h, s) of the join-irreducible admissible pairs of g, sorted.
@@ -557,13 +512,12 @@ def enumerate_pairs(g: Graph) -> PairLattice:
     breaking mask, and the names are read off ``g.vertices``, which is sorted.
     The masks go to the lattice with the pairs.
     """
-    vs = g.vertices
     pairs, masks = [], []
     for h in _hs_masks(g):
-        names = tuple(vs[i] for i in _ones(h))
+        names = _vertices(g, h)
         bh = s = _breaking_mask(g, h)
         while True:
-            pairs.append(AdmissiblePair(names, tuple(vs[i] for i in _ones(s))))
+            pairs.append(AdmissiblePair(names, _vertices(g, s)))
             masks.append((h, s))
             if not s:
                 break
@@ -643,55 +597,21 @@ def _h_facts(g: Graph, h: int):
     return facts
 
 
+@dataclass(frozen=True, eq=False)
 class QuotientGraph:
-    """Quotient of a graph by an admissible pair.
+    """Quotient of a graph by an admissible pair, built by :func:`quotient`.
 
-    ``directed`` (whether the vertex set is downward directed) and
-    ``exitless`` (the exitless cycles, in canonical order) are read off vertex
-    masks when the quotient is made; ``graph`` and ``provenance`` are built on
-    first use.  ``provenance`` maps each quotient vertex to ``(original,
-    primed)``; primed vertices are added for breaking vertices left out of S
-    and are sinks.  A quotient keeps the parent's vertices and bundles, never
-    the parent :class:`Graph`, which memoizes its quotients.
+    ``graph`` is the quotient graph and ``provenance`` maps each of its
+    vertices to ``(original, primed)``; primed vertices are added for
+    breaking vertices left out of S and are sinks.  ``directed`` (whether
+    the vertex set is downward directed) and ``exitless`` (the exitless
+    cycles, in canonical order) are read off the pair's masks.
     """
 
-    def __init__(self, directed: bool, exitless: Tuple[Cycle, ...], source):
-        self.directed = directed
-        self.exitless = exitless
-        self._source = source  # (vertices, bundles, and the masks of H and of B_H \ S)
-
-    @cached_property
-    def _built(self) -> Tuple[Graph, Dict[str, Tuple[str, bool]]]:
-        vertices, parent_bundles, h, d = self._source
-        hset = {v for i, v in enumerate(vertices) if h >> i & 1}
-        survivors = [v for v in vertices if v not in hset]
-        primed_of = {}
-        taken = set(survivors)
-        for i in _ones(d):
-            v = vertices[i]
-            name = _primed_name(v, taken)
-            primed_of[v] = name
-            taken.add(name)
-        bundles = {}
-        for (src, dst), mult in parent_bundles.items():
-            if dst in hset:
-                continue
-            if src in hset:
-                raise InternalInconsistencyError("hereditary set emits into its complement")
-            bundles[(src, dst)] = mult
-            if dst in primed_of:
-                bundles[(src, primed_of[dst])] = mult
-        provenance = {v: (v, False) for v in survivors}
-        provenance.update({name: (v, True) for v, name in primed_of.items()})
-        return Graph(sorted(taken), bundles), provenance
-
-    @property
-    def graph(self) -> Graph:
-        return self._built[0]
-
-    @property
-    def provenance(self) -> Dict[str, Tuple[str, bool]]:
-        return self._built[1]
+    graph: Graph
+    provenance: Dict[str, Tuple[str, bool]]
+    directed: bool
+    exitless: Tuple[Cycle, ...]
 
     def primed_vertices(self) -> List[str]:
         return sorted(v for v, (_, primed) in self.provenance.items() if primed)
@@ -705,23 +625,35 @@ def _primed_name(v: str, taken) -> str:
 
 
 def quotient(g: Graph, p: AdmissiblePair) -> QuotientGraph:
-    """The quotient graph E \\ (H, S).
+    """The quotient graph E \\ (H, S), built on every call.
 
     Vertices are (E0 \\ H) plus a primed sink v' for each breaking vertex v
     outside S; bundles with target outside H survive, and each bundle into a
-    breaking vertex outside S is duplicated onto its primed sink.  Memoized
-    on the graph per pair; its directedness and exitless cycles come from
-    :func:`_quotient_facts`.
+    breaking vertex outside S is duplicated onto its primed sink.  Its
+    directedness and exitless cycles come from :func:`_quotient_facts`.  The
+    engine reads those facts off masks; this builder serves the public API,
+    the demos, the oracles and the maximality test of a non-graded ideal.
     """
-    hit = g._quotients.get(p)
-    if hit is None:
-        if not p.s_set <= breaking_vertices(g, p.h_set):
-            raise LatticeError(f"invalid pair {p} for this graph")
-        h, s = _mask(g, p.h), _mask(g, p.s)
-        directed, exitless = _quotient_facts(g, h, s)
-        d = _breaking_mask(g, h) & ~s
-        hit = g._quotients[p] = QuotientGraph(directed, exitless, (g.vertices, g.bundles, h, d))
-    return hit
+    h, s = _pair_masks(g, p)
+    hset = frozenset(_vertices(g, h))
+    survivors = [v for v in g.vertices if v not in hset]
+    primed_of = {}
+    taken = set(survivors)
+    for v in _vertices(g, _breaking_mask(g, h) & ~s):
+        primed_of[v] = name = _primed_name(v, taken)
+        taken.add(name)
+    bundles = {}
+    for (src, dst), mult in g.bundles.items():
+        if dst in hset:
+            continue
+        if src in hset:
+            raise InternalInconsistencyError("hereditary set emits into its complement")
+        bundles[(src, dst)] = mult
+        if dst in primed_of:
+            bundles[(src, primed_of[dst])] = mult
+    provenance = {v: (v, False) for v in survivors}
+    provenance.update({name: (v, True) for v, name in primed_of.items()})
+    return QuotientGraph(Graph(sorted(taken), bundles), provenance, *_quotient_facts(g, h, s))
 
 
 def _quotient_facts(g: Graph, h: int, s: int) -> Tuple[bool, Tuple[Cycle, ...]]:
@@ -739,16 +671,6 @@ def _quotient_facts(g: Graph, h: int, s: int) -> Tuple[bool, Tuple[Cycle, ...]]:
     d = breaking & ~s
     directed = sum(1 for t in terminals if not t & d) + d.bit_count() <= 1
     return directed, tuple(c for m, c in cycles if not m & d)
-
-
-def _avoiding(g: Graph, i: int) -> int:
-    """Mask of the vertices that do not reach vertex i.
-
-    It is hereditary, and saturated when i lies on a cycle: a regular vertex
-    whose successors all miss i misses it too, unless it is i itself, whose
-    successor on the cycle reaches i.
-    """
-    return ((1 << len(g.vertices)) - 1) & ~_quotient_table(g)[0][i]
 
 
 def _normalize(g: Graph, X: int, T: int) -> Tuple[int, int]:
@@ -782,5 +704,4 @@ def normalize_generators(g: Graph, X: Iterable[str], T: Iterable[str]) -> Admiss
         g._check(v)
         if is_finite(g.total_out(v)):
             raise LatticeError(f"{v!r} is not an infinite emitter")
-    h, s = _normalize(g, _mask(g, X), _mask(g, T))
-    return AdmissiblePair.of(_names(g, h), _names(g, s))
+    return _pair(g, *_normalize(g, _mask(g, X), _mask(g, T)))

@@ -2,10 +2,10 @@
 
 None of these share traversal or arithmetic code paths with the modules they
 check: hereditary saturated sets are filtered definitionally over all vertex
-subsets, the pair order is searched as a full bit matrix, closed simple
-paths are counted by depth-first search, disjoint loops are replayed
-against direct Laurent-ring ideal arithmetic, and the acyclic sink-powerset
-premise is verified rather than assumed.
+subsets, the pair order is compared on vertex names (:func:`le`) and searched
+as a full bit matrix, closed simple paths are counted by depth-first search,
+disjoint loops are replayed against direct Laurent-ring ideal arithmetic, and
+the acyclic sink-powerset premise is verified rather than assumed.
 
 The whole-lattice scans that the engine replaced by Birkhoff's
 representation also live here: the primes over an ideal, the maximal graded
@@ -83,6 +83,11 @@ def brute_hs(g: Graph) -> List[frozenset]:
     return sorted(out, key=lambda h: tuple(sorted(h)))
 
 
+def le(a: AdmissiblePair, b: AdmissiblePair) -> bool:
+    """The pair order on names: ``(H1, S1) <= (H2, S2)`` iff H1 <= H2 and S1 <= H2 | S2."""
+    return set(a.h) <= set(b.h) and set(a.s) <= set(b.h) | set(b.s)
+
+
 class SearchLattice:
     """The pair order of a lattice as an n x n bit matrix, searched.
 
@@ -94,8 +99,8 @@ class SearchLattice:
     def __init__(self, lattice: PairLattice):
         ps = self.pairs = lattice.pairs
         self._index = {p: i for i, p in enumerate(ps)}
-        self._low = [sum(1 << j for j, q in enumerate(ps) if q.le(p)) for p in ps]
-        self._up = [sum(1 << j for j, q in enumerate(ps) if p.le(q)) for p in ps]
+        self._low = [sum(1 << j for j, q in enumerate(ps) if le(q, p)) for p in ps]
+        self._up = [sum(1 << j for j, q in enumerate(ps) if le(p, q)) for p in ps]
         self.top = ps[max(range(len(ps)), key=lambda i: self._low[i].bit_count())]
         self._flags = None
 
@@ -157,14 +162,14 @@ def primes_containing_by_scan(g: Graph, ref: SearchLattice, I: IdealRep) -> Prim
     comps = I.component_map()
     nongraded = []
     for pair in proper:
-        if pair.s_set != breaking_vertices(g, pair.h_set) or not I.graded.le(pair):
+        if set(pair.s) != breaking_vertices(g, pair.h) or not le(I.graded, pair):
             continue
         for cyc in exitless_cycles(quotient(g, pair).graph):
             if cyc not in comps:
                 continue
             for f in factor(comps[cyc]):
                 cand = make(g, pair, {cyc: f})
-                outside = [v for v in g.vertices if v not in pair.h_set]
+                outside = [v for v in g.vertices if v not in pair.h]
                 if contains(g, cand, I) and downward_directed(g, outside).holds:
                     nongraded.append(cand)
     nongraded.sort(key=IdealRep.sort_key)
@@ -206,7 +211,7 @@ def maximal_decomposition_by_scan(g: Graph, ref: SearchLattice) -> Optional[List
         return None
     maximals = maximal_graded_by_scan(g, ref)
     for p in ref.pairs:
-        if ref.meet_all([m for m in maximals if p.le(m)]) != p:
+        if ref.meet_all([m for m in maximals if le(p, m)]) != p:
             raise InternalInconsistencyError(f"{p} is not the meet of the maximal ideals above it")
     return sorted(tuple(sorted(a)) for a in atoms)
 
@@ -221,8 +226,8 @@ def factor_graded_by_search(
     :class:`FactorizationError` when the minimal primes do not meet to it.
     """
     flags = ref.prime_flags()
-    over = [p for p in ref.pairs if p != ref.top and flags[p] and I.graded.le(p)]
-    minimal = sorted(p for p in over if not any(q != p and q.le(p) for q in over))
+    over = [p for p in ref.pairs if p != ref.top and flags[p] and le(I.graded, p)]
+    minimal = sorted(p for p in over if not any(q != p and le(q, p) for q in over))
     if not minimal or ref.meet_all(minimal) != I.graded:
         raise FactorizationError(f"no finite graded-prime factorization of {I}")
     changed = True

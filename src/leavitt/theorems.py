@@ -11,10 +11,12 @@ The lattice questions are answered from Birkhoff's representation, which
 outside its down-set, its graded-prime factorization is the m(j) for the
 minimal j outside, the maximal decomposition is checked as "J is an
 antichain", and a non-graded prime over a component cycle c has one
-candidate pair, the vertices that do not reach c.  What still walks the
-pairs (the counterexample scan, the sampled family, the directedness of
-every quotient) reads each pair's facts off its masks.  The whole-lattice
-scans these replace live in :mod:`leavitt.oracles` as references.
+candidate pair, the vertices that do not reach c
+(:meth:`PairLattice.prime_avoiding`).  What still walks the pairs (the
+counterexample scan, the sampled family, the directedness of every quotient)
+reads each pair's facts off the lattice's masks; no vertex name is turned
+into a mask here.  The whole-lattice scans these replace live in
+:mod:`leavitt.oracles` as references.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FactorizationError, IdealError, InternalInconsistencyError
-from .graphs import Graph, condition_K
+from .graphs import Graph, _bits, _ones, condition_K
 from .ideals import (
     IdealRep,
     contains,
@@ -37,17 +39,7 @@ from .ideals import (
     zero_ideal,
     _graded_prime_flags,
 )
-from .lattice import (
-    AdmissiblePair,
-    PairLattice,
-    bottom_pair,
-    _avoiding,
-    _bits,
-    _breaking_mask,
-    _close,
-    _mask,
-    _ones,
-)
+from .lattice import AdmissiblePair, PairLattice, bottom_pair, _breaking_mask, _close
 from .laurent import QQ, LaurentPoly, factor
 
 
@@ -86,37 +78,38 @@ def primes_containing(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeFamil
 
     Graded: the graded primes are the m(j) (:attr:`PairLattice.graded_primes`),
     and m(j) lies over I's graded part iff j is not in D(I).  It contains I
-    iff its H also holds every component cycle of I.
+    iff its H also holds every component cycle of I; H is hereditary, so one
+    vertex of each cycle is tested.
 
     Non-graded: a prime (H, S; (c, f)) over I pins a component cycle c of I,
     has S = B_H, f irreducible, and the vertices outside H downward directed.
     Then H is H_c, the vertices that do not reach c: a vertex of H reaching c
     would pull c into H, and one outside H missing c would have no common
     lower bound with c, which has no exit outside H.  So each component has
-    one candidate pair, (H_c, B_{H_c}), and one ``_h_facts`` lookup decides
-    its directedness and exitless cycles.  The candidate (H_c, B_{H_c}; (c, f))
-    is kept for each irreducible factor f of c's polynomial when I's graded
-    part lies below the pair, c is an exitless cycle of its quotient, the
-    quotient is downward directed and the candidate contains I.  The pair
-    scan this replaces is :func:`leavitt.oracles.primes_containing_by_scan`.
+    one candidate pair, (H_c, B_{H_c}) (:meth:`PairLattice.prime_avoiding`),
+    and one ``_h_facts`` lookup decides its directedness and exitless cycles.
+    The candidate (H_c, B_{H_c}; (c, f)) is kept for each irreducible factor f
+    of c's polynomial when I's graded part lies below the pair (D(I) is in
+    its down-set), c is an exitless cycle of its quotient, the quotient is
+    downward directed and the candidate contains I.  The pair scan this
+    replaces is :func:`leavitt.oracles.primes_containing_by_scan`.
     """
     d = lattice.down_set(I.graded)
-    masks = lattice._masks
-    holds = [_mask(g, cyc.vertices) for cyc, _ in I.components]
+    masks, downs = lattice._masks, lattice._birkhoff[2]
+    index = _bits(g)[0]
+    bits = [1 << index[cyc.vertices[0]] for cyc, _ in I.components]
     graded = tuple(
         lattice.pairs[i]
         for i in sorted(
             i for j, i in enumerate(lattice.meet_irreducibles)
-            if not d >> j & 1 and not any(c & ~masks[i][0] for c in holds)
+            if not d >> j & 1 and all(b & masks[i][0] for b in bits)
         )
     )
-    index = _bits(g)[0]
     nongraded: List[IdealRep] = []
     for cyc, poly in I.components:
-        h = _avoiding(g, index[cyc.vertices[0]])
-        i = lattice._member((h, _breaking_mask(g, h)), lambda: f"the prime pair over {cyc}")
+        i = lattice.prime_avoiding(cyc.vertices[0])
         pair = lattice.pairs[i]
-        if not I.graded.le(pair):
+        if d & ~downs[i]:
             continue
         directed, exitless = lattice.quotient_facts(i)
         if not directed or cyc not in exitless:
@@ -430,9 +423,7 @@ def prime_always_exists(g: Graph, lattice: PairLattice) -> AdmissiblePair:
         if not primes:
             raise InternalInconsistencyError("Condition (K) holds but no graded prime exists")
         return primes[0]
-    h = _avoiding(g, _bits(g)[0][k.witness])
-    i = lattice._member((h, _breaking_mask(g, h)), lambda: f"the prime pair avoiding {k.witness}")
-    pair = lattice.pairs[i]
+    pair = lattice.pairs[lattice.prime_avoiding(k.witness)]
     if not is_prime(g, lattice, rep(pair)).prime:
         raise InternalInconsistencyError(f"constructed pair {pair} is not prime")
     return pair

@@ -25,7 +25,7 @@ from leavitt.ideals import (
 )
 from leavitt.lattice import AdmissiblePair, bottom_pair, enumerate_hs
 from leavitt.laurent import GF, QQ, LaurentPoly, factor, parse_poly
-from leavitt.oracles import SearchLattice, acyclic_sink_lattice, brute_hs, laurent_model
+from leavitt.oracles import SearchLattice, acyclic_sink_lattice, brute_hs, laurent_model, le
 from leavitt.theorems import (
     condition_K_equivalence,
     count_ideals,
@@ -152,7 +152,7 @@ def test_criterion_6_maximal_decomposition(named):
     assert rep(met) == zero_ideal()
     assert product(RR, rep(maximals[0]), rep(maximals[1])) == zero_ideal()
     for p in lat.pairs:
-        above = [m for m in maximals if p.le(m)]
+        above = [m for m in maximals if le(p, m)]
         assert lat.meet_all(above) == p
     assert maximal_decomposition(T1, lattice_of(T1)) is None
 

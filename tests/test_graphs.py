@@ -178,6 +178,15 @@ def test_condition_K_is_decided_once_per_graph(monkeypatch):
     assert condition_K(g) is first and first.holds
 
 
+def test_condition_K_reads_strong_components_off_reach_masks(monkeypatch):
+    g = chain_of_roses(32)
+    calls = []
+    search = graphs.reachable_from
+    monkeypatch.setattr(graphs, "reachable_from", lambda *args: calls.append(args) or search(*args))
+    assert condition_K(g).holds
+    assert calls == []
+
+
 def test_condition_K_implies_condition_L(corpus):
     for g in corpus:
         if condition_K(g).holds:

@@ -3,7 +3,7 @@
 import pytest
 
 from leavitt.errors import IdealError
-from leavitt.graphs import Cycle, exitless_cycles
+from leavitt.graphs import Cycle, Graph, exitless_cycles
 from leavitt.ideals import (
     contains,
     graded_part,
@@ -20,10 +20,10 @@ from leavitt.ideals import (
     zero_ideal,
 )
 from leavitt.lattice import AdmissiblePair, bottom_pair, quotient
-from leavitt.laurent import QQ, LaurentPoly, parse_poly
+from leavitt.laurent import QQ, LaurentPoly, is_irreducible, parse_poly
 from leavitt.theorems import sample_ideal_family
 
-from conftest import lattice_of
+from conftest import lattice_of, loops
 
 ONE_X = parse_poly(QQ, "1+x")
 ONE_X2 = parse_poly(QQ, "1+x^2")
@@ -165,6 +165,20 @@ def test_product_configurations(named):
                 assert product(g, rep(a), rep(b)) == intersect(g, rep(a), rep(b)) == rep(lat.meet(a, b))
 
 
+def test_graded_ideals_combine_without_quotient_facts(monkeypatch, named):
+    from leavitt import ideals
+
+    calls = []
+    facts = ideals._quotient_facts
+    monkeypatch.setattr(ideals, "_quotient_facts", lambda *args: calls.append(args) or facts(*args))
+    for g in (named["B1"], named["D2"], loops(3)):
+        lat = lattice_of(g)
+        for a in lat.pairs:
+            for b in lat.pairs:
+                assert product(g, rep(a), rep(b)) == intersect(g, rep(a), rep(b)) == rep(lat.meet(a, b))
+    assert calls == []
+
+
 def test_product_is_commutative(corpus):
     for g in corpus[:25]:
         fam = list(sample_ideal_family(g, lattice_of(g)))
@@ -276,6 +290,28 @@ def test_is_maximal(named):
     assert is_maximal(RR, lattice_of(RR), rep(AdmissiblePair.of({"r1"}, ())))
     with pytest.raises(IdealError):
         is_maximal(T1, latT1, unit_ideal(T1))
+
+
+def test_is_maximal_matches_the_built_quotient_graph(corpus):
+    # maximal non-graded: S = B_H (no primed sink), one irreducible
+    # component, and the quotient graph is exactly that cycle
+    maximal = 0
+    for g in corpus + [loops(k) for k in (1, 2, 3)]:
+        lat = lattice_of(g)
+        for I in sample_ideal_family(g, lat):
+            if I.is_graded:
+                continue
+            q = quotient(g, I.graded)
+            (cyc, p), *rest = I.components
+            want = (
+                not rest
+                and not q.primed_vertices()
+                and is_irreducible(p)
+                and q.graph == Graph(cyc.vertices, {(e[0], e[1]): 1 for e in cyc.edges})
+            )
+            assert is_maximal(g, lat, I) == want, (dict(g.bundles), I)
+            maximal += want
+    assert maximal
 
 
 def test_is_proper(named):

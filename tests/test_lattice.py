@@ -21,7 +21,7 @@ from leavitt.lattice import (
     top_pair,
 )
 from leavitt.ideals import _graded_prime_flags
-from leavitt.oracles import SearchLattice
+from leavitt.oracles import SearchLattice, le
 
 from conftest import forks, lattice_of, random_graph
 
@@ -61,7 +61,8 @@ def test_cover_outside_the_lattice_is_an_inconsistency(named):
     B1 = named["B1"]
     lat = lattice_of(B1)
     dropped = AdmissiblePair.of({"a"}, ())
-    partial = PairLattice(B1, [p for p in lat.pairs if p != dropped])
+    kept = [i for i, p in enumerate(lat.pairs) if p != dropped]
+    partial = PairLattice(B1, [lat.pairs[i] for i in kept], [lat._masks[i] for i in kept])
     with pytest.raises(InternalInconsistencyError, match=r"\(\{a\}, \{\}\)"):
         partial.upper_covers(bottom_pair())
 
@@ -121,23 +122,23 @@ def test_enumerate_pairs_counts(named):
     assert (("a", "b", "u"), ()) in b1_pairs
     # T1 is a three-element chain
     t1 = lattice_of(named["T1"]).pairs
-    assert all(a.le(b) or b.le(a) for a in t1 for b in t1)
+    assert all(le(a, b) or le(b, a) for a in t1 for b in t1)
     # RR is the four-element Boolean lattice
     rr = lattice_of(named["RR"]).pairs
     assert len(rr) == 4
     atoms = [p for p in rr if p.h and p != top_pair(named["RR"])]
-    assert len(atoms) == 2 and not (atoms[0].le(atoms[1]) or atoms[1].le(atoms[0]))
+    assert len(atoms) == 2 and not (le(atoms[0], atoms[1]) or le(atoms[1], atoms[0]))
 
 
 def test_pair_order_is_partial(corpus):
     for g in corpus:
         lat = lattice_of(g)
         for p in lat.pairs:
-            assert p.s_set <= breaking_vertices(g, p.h_set)
-            assert p.le(p)
+            assert set(p.s) <= breaking_vertices(g, p.h)
+            assert le(p, p)
         for a in lat.pairs:
             for b in lat.pairs:
-                if a.le(b) and b.le(a):
+                if le(a, b) and le(b, a):
                     assert a == b
 
 
@@ -191,7 +192,6 @@ def test_quotient_primed_vertices_are_sinks(corpus):
         lat = lattice_of(g)
         for p in lat.pairs:
             q = quotient(g, p)
-            assert quotient(g, p) is q
             assert q.exitless == tuple(exitless_cycles(q.graph))
             assert q.directed == downward_directed(q.graph, q.graph.vertices).holds
             for v in q.primed_vertices():
@@ -263,4 +263,4 @@ def test_top_and_bottom(corpus):
         assert lat.bottom == bottom_pair()
         assert lat.top == top_pair(g)
         for p in lat.pairs:
-            assert bottom_pair().le(p) and p.le(lat.top)
+            assert le(bottom_pair(), p) and le(p, lat.top)
