@@ -132,7 +132,7 @@ class Graph:
     """Immutable directed multigraph over string vertex identifiers."""
 
     __slots__ = (
-        "vertices", "bundles", "_out", "_in", "_bits", "_reach_masks", "_pairs",
+        "vertices", "bundles", "_out", "_bits", "_reach_masks", "_pairs",
         "_quotient_table", "_condition_K",
     )
 
@@ -155,12 +155,9 @@ class Graph:
         self.vertices = tuple(sorted(vs))
         self.bundles = MappingProxyType(clean)
         out = {v: [] for v in self.vertices}
-        inc = {v: [] for v in self.vertices}
         for (src, dst) in sorted(clean):
             out[src].append((dst, clean[(src, dst)]))
-            inc[dst].append((src, clean[(src, dst)]))
         self._out = out
-        self._in = inc
         self._bits = None  # vertex bitmasks, built on first use (see _bits)
         self._reach_masks = None  # per-vertex reach bitmasks, likewise (see _reach)
         self._pairs = {}  # (H, S) name tuples -> validated (h, s) masks, kept by the lattice module
@@ -187,10 +184,6 @@ class Graph:
         """Sorted list of (target, multiplicity) bundles leaving v."""
         self._check(v)
         return self._out[v]
-
-    def in_bundles(self, v: str):
-        self._check(v)
-        return self._in[v]
 
     def total_out(self, v: str) -> Multiplicity:
         return sum((m for _, m in self.out_bundles(v)), 0)

@@ -263,34 +263,27 @@ class PrimeWitness:
 
 
 def _graded_prime_flags(g: Graph, lattice: PairLattice) -> Dict[AdmissiblePair, bool]:
-    """Meet-primeness of every lattice element, with directedness cross-checks.
+    """Meet-primeness of every lattice element, with a directedness cross-check.
 
     An element I is meet-prime when meet(A, B) <= I forces A <= I or B <= I.
     The lattice is distributive, so the proper meet-prime elements are its
     meet-irreducibles m(j) (:attr:`PairLattice.graded_primes`); the top is
-    vacuously meet-prime.  Two facts are verified for every element, read
-    off its masks: a prime quotient vertex set must be downward directed,
-    and a full-S pair over a downward directed complement must be prime.
-    Any disagreement aborts.
+    vacuously meet-prime, and its quotient is empty.  The quotient vertex
+    set of each m(j), read off its masks, must be downward directed; a
+    disagreement aborts.  The converse, that a full-S pair over a downward
+    directed complement is meet-prime, is checked by the tests on built
+    quotient graphs.
     """
     if lattice._prime_flags is not None:
         return lattice._prime_flags
-    flags = {}
-    top = lattice.top
+    for i in lattice.meet_irreducibles:
+        if not lattice.quotient_facts(i)[0]:
+            raise InternalInconsistencyError(
+                f"{lattice.pairs[i]} is meet-prime but its quotient vertex set is not downward directed"
+            )
     primes = set(lattice.meet_irreducibles)
-    for i, (p, (h, s)) in enumerate(zip(lattice.pairs, lattice._masks)):
-        meet_prime = i in primes or p == top
-        dd = lattice.quotient_facts(i)[0]
-        if meet_prime and not dd:
-            raise InternalInconsistencyError(
-                f"{p} is meet-prime but its quotient vertex set is not downward directed"
-            )
-        full_s = s == _breaking_mask(g, h)
-        if full_s and dd and not meet_prime:
-            raise InternalInconsistencyError(
-                f"{p} has S = B_H over a downward directed complement but is not meet-prime"
-            )
-        flags[p] = meet_prime
+    top = lattice.top
+    flags = {p: i in primes or p == top for i, p in enumerate(lattice.pairs)}
     lattice._prime_flags = flags
     return flags
 
@@ -299,7 +292,7 @@ def is_prime(g: Graph, lattice: PairLattice, I: IdealRep) -> PrimeWitness:
     """Primality of a proper ideal.
 
     Graded ideals are tested by meet-primeness within the admissible-pair
-    lattice (cross-checked against downward directedness of the quotient).
+    lattice (each m(j) cross-checked for a downward directed quotient).
     A non-graded ideal is prime exactly when it is a full-S pair with a
     single component carrying an irreducible polynomial over a downward
     directed complement.

@@ -229,9 +229,9 @@ class PairLattice:
     maximal graded ideals and the chain and antichain tests are all read
     from J and the table from down-sets to pairs, never from a scan over
     pairs.  Meets and joins are closed forms on masks (:func:`_meet_masks`
-    and :func:`_normalize`), memoized per lattice.  The vertex masks ``(h, s)``
-    of every pair are kept by pair index, and the per-pair quotient facts
-    are read off them (:meth:`quotient_facts`).
+    and :func:`_normalize`), computed on each call.  The vertex masks
+    ``(h, s)`` of every pair are kept by pair index, and the per-pair
+    quotient facts are read off them (:meth:`quotient_facts`).
     """
 
     def __init__(self, graph: Graph, pairs: List[AdmissiblePair], masks: List[Tuple[int, int]]):
@@ -243,8 +243,6 @@ class PairLattice:
         self._masks = tuple(masks[i] for i in order)
         self._index = {p: i for i, p in enumerate(self.pairs)}
         self._at = {m: i for i, m in enumerate(self._masks)}
-        self._meet: Dict[Tuple[int, int], AdmissiblePair] = {}
-        self._join: Dict[Tuple[int, int], AdmissiblePair] = {}
         self._covers: Dict[int, Tuple[AdmissiblePair, ...]] = {}
         self._prime_flags: Optional[Dict[AdmissiblePair, bool]] = None  # see ideals._graded_prime_flags
 
@@ -287,27 +285,14 @@ class PairLattice:
     def proper(self) -> Tuple[AdmissiblePair, ...]:
         return self._proper
 
-    def _memo(self, table, a: AdmissiblePair, b: AdmissiblePair, compute) -> AdmissiblePair:
-        i, j = self.index(a), self.index(b)
-        key = (i, j) if i <= j else (j, i)
-        if key not in table:
-            table[key] = compute(i, j)
-        return table[key]
-
     def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        def compute(i, j):
-            m = _meet_masks(self.graph, self._masks[i], self._masks[j])
-            return self.pairs[self._member(m, lambda: f"the meet of {a} and {b}")]
-
-        return self._memo(self._meet, a, b, compute)
+        m = _meet_masks(self.graph, self._masks[self.index(a)], self._masks[self.index(b)])
+        return self.pairs[self._member(m, lambda: f"the meet of {a} and {b}")]
 
     def join(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
-        def compute(i, j):
-            (h1, s1), (h2, s2) = self._masks[i], self._masks[j]
-            m = _normalize(self.graph, h1 | h2, s1 | s2)
-            return self.pairs[self._member(m, lambda: f"the join of {a} and {b}")]
-
-        return self._memo(self._join, a, b, compute)
+        (h1, s1), (h2, s2) = self._masks[self.index(a)], self._masks[self.index(b)]
+        m = _normalize(self.graph, h1 | h2, s1 | s2)
+        return self.pairs[self._member(m, lambda: f"the join of {a} and {b}")]
 
     def meet_all(self, items: Iterable[AdmissiblePair]) -> AdmissiblePair:
         """Meet of a family, folded on masks; the empty family meets to the top pair."""
@@ -398,9 +383,6 @@ class PairLattice:
             ]
             hit = self._covers[i] = tuple(self.pairs[c] for c in sorted(found))
         return hit
-
-    def covered_by_top(self, p: AdmissiblePair) -> bool:
-        return self.upper_covers(p) == (self.top,)
 
     @cached_property
     def meet_irreducibles(self) -> Tuple[int, ...]:

@@ -4,8 +4,9 @@ The graph file is JSON: an optional ``field`` tag ("Q" or "Fp:<p>"),
 a ``vertices`` list and an ``edges`` list of ``{src, dst, mult}`` records
 where ``mult`` is a positive integer or the string "omega".  Ideal literals
 are JSON objects ``{"H": [...], "S": [...], "components": [{"cycle":
-[...], "poly": "..."}]}``.  Unknown keys are rejected everywhere, and every
-emitted literal re-parses to an equal value.
+[...], "poly": "..."}]}``.  Unknown keys and values of the wrong JSON type
+are rejected everywhere, and every emitted literal re-parses to an equal
+value.
 """
 
 from __future__ import annotations
@@ -102,17 +103,26 @@ def ideal_literal(I: IdealRep) -> str:
     return json.dumps(ideal_to_data(I), sort_keys=True)
 
 
+def _names(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise IdealError(f"{what} must be a list of vertex names")
+    return value
+
+
 def ideal_from_data(g: Graph, field, data: dict) -> IdealRep:
     _require_keys(data, {"H", "S", "components"}, set(), "ideal literal")
-    H = data.get("H", [])
-    S = data.get("S", [])
-    pair = AdmissiblePair.of(H, S)
+    pair = AdmissiblePair.of(_names(data.get("H", []), "H"), _names(data.get("S", []), "S"))
+    records = data.get("components", [])
+    if not isinstance(records, list):
+        raise IdealError("components must be a list")
     comps = {}
-    for record in data.get("components", []):
+    for record in records:
         _require_keys(record, {"cycle", "poly"}, {"cycle", "poly"}, "ideal component")
-        vs = record["cycle"]
-        if not isinstance(vs, list) or not vs:
-            raise IdealError("component cycle must be a nonempty vertex list")
+        vs = _names(record["cycle"], "component cycle")
+        if not vs:
+            raise IdealError("component cycle must not be empty")
+        if not isinstance(record["poly"], str):
+            raise IdealError("component poly must be a string")
         cyc = Cycle.from_vertices(vs)
         poly = parse_poly(field, record["poly"])
         if cyc in comps:

@@ -13,16 +13,20 @@ minimal j outside, the maximal decomposition is checked as "J is an
 antichain", and a non-graded prime over a component cycle c has one
 candidate pair, the vertices that do not reach c
 (:meth:`PairLattice.prime_avoiding`).  What still walks the pairs (the
-counterexample scan, the sampled family, the directedness of every quotient)
-reads each pair's facts off the lattice's masks; no vertex name is turned
-into a mask here.  The whole-lattice scans these replace live in
-:mod:`leavitt.oracles` as references.
+sampled family, the counterexample scan when Condition (K) fails, the
+directedness of every quotient of a chain) reads each pair's facts off the
+lattice's masks; no vertex name is turned into a mask here.  The
+whole-lattice scans these replace live in :mod:`leavitt.oracles` as
+references, and the tests check the theorems behind these shortcuts on
+built quotient graphs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FactorizationError, IdealError, InternalInconsistencyError
@@ -46,8 +50,8 @@ from .laurent import QQ, LaurentPoly, factor
 def graded_primes(g: Graph, lattice: PairLattice) -> List[AdmissiblePair]:
     """All proper lattice elements that name prime graded ideals, sorted.
 
-    They are the meet-irreducibles m(j); the directedness cross-checks of
-    :func:`_graded_prime_flags` run once per lattice.
+    They are the meet-irreducibles m(j); the directedness cross-check of
+    :func:`_graded_prime_flags` on the m(j) runs once per lattice.
     """
     _graded_prime_flags(g, lattice)
     return list(lattice.graded_primes)
@@ -136,17 +140,9 @@ def family_intersection(g: Graph, lattice: PairLattice, primes: Sequence[IdealRe
     buckets: Dict = {}
     for P in primes:
         for cyc, f in P.components:
-            buckets.setdefault(cyc, [])
-            if f not in buckets[cyc]:
-                buckets[cyc].append(f)
-    comps = {}
-    for cyc, fs in buckets.items():
-        poly = fs[0]
-        for f in fs[1:]:
-            poly = poly * f
-        comps[cyc] = poly
+            buckets.setdefault(cyc, {})[f] = None  # the distinct polynomials, in order
     try:
-        return make(g, pair, comps)
+        return make(g, pair, {cyc: reduce(mul, fs) for cyc, fs in buckets.items()})
     except IdealError as e:
         raise InternalInconsistencyError(
             f"the intersection of a prime family is not representable: {e}"
@@ -238,11 +234,13 @@ def condition_K_equivalence(g: Graph, lattice: PairLattice, fld=QQ) -> KEquivale
 def prime_intersection_counterexample(g: Graph, lattice: PairLattice, fld=QQ) -> Optional[IdealRep]:
     """An ideal that is provably not an intersection of primes, if one exists.
 
-    Built as (H, S, {(c, (1+x)^2)}) on the first quotient exitless cycle, the
-    pairs scanned in lattice order by their masks, and verified through
-    :func:`intersection_of_primes`; no such ideal exists exactly when the
-    graph satisfies Condition (K).
+    None exists exactly when the graph satisfies Condition (K).  Otherwise it
+    is built as (H, S, {(c, (1+x)^2)}) on the first quotient exitless cycle,
+    the pairs scanned in lattice order by their masks, and verified through
+    :func:`intersection_of_primes`.
     """
+    if condition_K(g).holds:
+        return None
     one_x = LaurentPoly.from_coeffs(fld, [1, 1])
     for i, pair in enumerate(lattice.pairs):
         cycles = lattice.quotient_facts(i)[1]
@@ -253,16 +251,10 @@ def prime_intersection_counterexample(g: Graph, lattice: PairLattice, fld=QQ) ->
             raise InternalInconsistencyError(
                 f"{I} is an intersection of primes although its cycle has no exits"
             )
-        if condition_K(g).holds:
-            raise InternalInconsistencyError(
-                "Condition (K) holds but a quotient graph has an exitless cycle"
-            )
         return I
-    if not condition_K(g).holds:
-        raise InternalInconsistencyError(
-            "Condition (K) fails but no quotient graph has an exitless cycle"
-        )
-    return None
+    raise InternalInconsistencyError(
+        "Condition (K) fails but no quotient graph has an exitless cycle"
+    )
 
 
 def irredundant_prime_intersection(
@@ -270,9 +262,11 @@ def irredundant_prime_intersection(
 ) -> Optional[Tuple[IdealRep, ...]]:
     """A minimal finite family of primes intersecting exactly to I, if any.
 
-    Starts from the primes minimal under containment and greedily removes
-    members (in sorted order) whose omission keeps the intersection equal to
-    I; returns None when no representable finite family meets I exactly.
+    The family is the primes over I minimal under containment, sorted; None
+    when no representable finite family meets I exactly.  It is irredundant:
+    were the members other than some P to meet in I, which lies in P, their
+    product would lie in P, so one of them would, as P is prime, and P would
+    not be minimal.
     """
     reps = primes_containing(g, lattice, I).all_reps()
     if not reps or family_intersection(g, lattice, reps) != I:
@@ -285,27 +279,14 @@ def irredundant_prime_intersection(
     minimal.sort(key=IdealRep.sort_key)
     if family_intersection(g, lattice, minimal) != I:
         raise InternalInconsistencyError("minimal primes lost the intersection")
-    changed = True
-    while changed:
-        changed = False
-        for P in list(minimal):
-            rest = [Q for Q in minimal if Q != P]
-            if rest and family_intersection(g, lattice, rest) == I:
-                minimal.remove(P)
-                changed = True
-                break
     return tuple(minimal)
 
 
 def _is_irredundant(g: Graph, lattice: PairLattice, fam: Sequence[IdealRep]) -> bool:
     whole = family_intersection(g, lattice, fam)
-    if len(fam) == 1:
-        return True
-    for P in fam:
-        rest = [Q for Q in fam if Q != P]
-        if family_intersection(g, lattice, rest) == whole:
-            return False
-    return True
+    return len(fam) == 1 or all(
+        family_intersection(g, lattice, [Q for Q in fam if Q != P]) != whole for P in fam
+    )
 
 
 def uniqueness_check(
@@ -375,7 +356,6 @@ class EverythingPrimeReport:
     all_ideals_prime: bool
     graph_criterion: bool
     graded_chain: bool
-    details: Dict[str, bool] = field(default_factory=dict)
 
     @property
     def agree(self) -> bool:
@@ -388,25 +368,19 @@ def everything_prime_check(g: Graph, lattice: PairLattice, fld=QQ) -> Everything
     (a) every proper ideal of the sampled universe is prime; (b) Condition
     (K) together with a chain lattice, at most one breaking vertex per H,
     and downward directed quotient vertex sets; (c) Condition (K) and the
-    graded ideals forming a chain.
+    graded ideals forming a chain.  The two per-pair scans of (b) run only
+    on chains, which have |J| + 1 pairs.
     """
     k = condition_K(g).holds
     chain = lattice.is_chain
-    small_b = all(_breaking_mask(g, h).bit_count() <= 1 for h, s in lattice._masks if not s)
-    quots_dd = all(lattice.quotient_facts(i)[0] for i in range(len(lattice)))
-    criterion = k and chain and small_b and quots_dd
-    chain_verdict = k and chain
-    all_prime = True
-    for I in sample_ideal_family(g, lattice, fld):
-        if not is_prime(g, lattice, I).prime:
-            all_prime = False
-            break
-    return EverythingPrimeReport(
-        all_prime,
-        criterion,
-        chain_verdict,
-        {"condition_k": k, "chain": chain, "breaking_small": small_b, "quotients_dd": quots_dd},
+    criterion = (
+        k
+        and chain
+        and all(_breaking_mask(g, h).bit_count() <= 1 for h, s in lattice._masks if not s)
+        and all(lattice.quotient_facts(i)[0] for i in range(len(lattice)))
     )
+    all_prime = all(is_prime(g, lattice, I).prime for I in sample_ideal_family(g, lattice, fld))
+    return EverythingPrimeReport(all_prime, criterion, k and chain)
 
 
 def prime_always_exists(g: Graph, lattice: PairLattice) -> AdmissiblePair:

@@ -105,10 +105,16 @@ def test_criterion_2_toeplitz(named):
 
 @_verdict(3, "Condition (K) is equivalent to every ideal being a prime intersection")
 def test_criterion_3_k_equivalence(corpus):
+    from leavitt.graphs import condition_K, exitless_cycles
+    from leavitt.lattice import quotient
+
     for g in corpus:
         lat = lattice_of(g)
         report = condition_K_equivalence(g, lat)
         assert report.equivalent, f"{g}: {report}"
+        # the theorem behind the counterexample's shortcut, on built quotient graphs
+        exitless = any(exitless_cycles(quotient(g, p).graph) for p in lat.pairs)
+        assert exitless != condition_K(g).holds, g
         counterexample = prime_intersection_counterexample(g, lat)
         assert (counterexample is None) == report.condition_k
         if counterexample is not None:

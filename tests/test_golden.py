@@ -80,6 +80,15 @@ DEMO_LITERALS = {
     "T1": [((), (), ()), (("w",), (), ()), (("w",), (), ((("v",), "1+x^2"),))],
 }
 
+# Literals with a value of the wrong JSON type, kept as raw text: each is
+# rejected with a reason and exit code 2 before any op runs.
+MALFORMED_LITERALS = [
+    ("T1", '{"H":[1,"a"],"S":[]}'),
+    ("T1", '{"H":["w"],"S":[],"components":[{"cycle":["v"],"poly":5}]}'),
+    ("T1", '{"H":["w"],"S":[],"components":[{"cycle":[1],"poly":"1+x"}]}'),
+    ("B1", '{"H":"ab","S":[]}'),
+]
+
 
 def _literal(H, S, components=()):
     comps = [{"cycle": list(c), "poly": p} for c, p in components]
@@ -126,6 +135,8 @@ def cases():
                 out.append((["ideal", path, lit, op, "--json"], None))
     for text in (_forks(2), _loops(3), _rose_chain(4)):
         out += [([cmd[0], "-"] + cmd[1:], text) for cmd in REPORTS]
+    for name, lit in MALFORMED_LITERALS:
+        out.append((["ideal", f"demos/graphs/{name}.json", lit, "gr"], None))
     return out
 
 

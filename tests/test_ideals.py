@@ -269,16 +269,25 @@ def test_is_prime_multi_component_and_s_not_full(named):
 
 
 def test_prime_verdict_implies_quotient_downward_directed(corpus):
+    # both directions on the built quotient graph: a meet-prime pair has a
+    # downward directed quotient, and S = B_H over a downward directed
+    # complement is meet-prime
     from leavitt.graphs import downward_directed
     from leavitt.ideals import _graded_prime_flags
+    from leavitt.lattice import breaking_vertices
 
-    for g in corpus:
+    from conftest import forks
+
+    for g in corpus + [forks(3), loops(5)]:
         lat = lattice_of(g)
-        flags = _graded_prime_flags(g, lat)  # raises on any cross-check violation
-        for p in lat.proper():
+        flags = _graded_prime_flags(g, lat)  # raises if some m(j) has an undirected quotient
+        for p in lat.pairs:
+            q = quotient(g, p).graph
+            directed = downward_directed(q, q.vertices).holds
             if flags[p]:
-                q = quotient(g, p)
-                assert downward_directed(q.graph, q.graph.vertices).holds
+                assert directed, p
+            if set(p.s) == breaking_vertices(g, p.h) and directed:
+                assert flags[p], p
 
 
 def test_is_maximal(named):

@@ -89,6 +89,18 @@ def test_ideal_literal_validation(named):
         ideal_from_data(T1, QQ, {"H": [], "S": [], "extra": 1})
     with pytest.raises(IdealError, match="invalid JSON"):
         parse_ideal_literal(T1, QQ, "{not json")
+    # every value must have its JSON type; a string is not read as a vertex list
+    cycle = {"cycle": ["v"], "poly": "1+x"}
+    for data, reason in (
+        ({"H": "w", "S": []}, "H must be a list"),
+        ({"H": ["w"], "S": [None]}, "S must be a list"),
+        ({"H": ["w"], "S": [], "components": cycle}, "components must be a list"),
+        ({"H": ["w"], "S": [], "components": [dict(cycle, cycle="v")]}, "cycle must be a list"),
+        ({"H": ["w"], "S": [], "components": [dict(cycle, cycle=[])]}, "must not be empty"),
+        ({"H": ["w"], "S": [], "components": [dict(cycle, poly=["1+x"])]}, "poly must be a string"),
+    ):
+        with pytest.raises(IdealError, match=reason):
+            ideal_from_data(T1, QQ, data)
 
 
 A_LITERAL = '{"H":["w"],"S":[],"components":[{"cycle":["v"],"poly":"1+x"}]}'

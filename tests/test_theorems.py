@@ -271,7 +271,7 @@ def test_chain_of_roses_regression(named):
         lat = lattice_of(g)
         assert everything_prime_check(g, lat).agree
         assert len(graded_primes(g, lat)) == len(lat) - 1
-        maxima = [p for p in lat.proper() if lat.covered_by_top(p)]
+        maxima = [p for p in lat.proper() if lat.upper_covers(p) == (lat.top,)]
         assert len(maxima) == 1
 
 
@@ -296,6 +296,31 @@ def test_primes_containing_reads_one_quotient_per_component(monkeypatch):
     fam = primes_containing(g, lat, I)
     assert len(calls) <= len(I.components)
     assert len(fam.nongraded) == 3 and len(fam.graded) == 3  # the graded ones hold l0, l1 and l2
+
+
+def test_analyze_reads_quotient_facts_on_the_meet_irreducibles_only(monkeypatch):
+    # forks(4) has 1,296 pairs and 12 join-irreducibles; the prime flags and
+    # the maximal list read the quotient facts of the m(j) only, and the
+    # per-pair scans are skipped: Condition (K) holds and J is no chain
+    from leavitt import ideals, lattice
+    from leavitt.lattice import enumerate_pairs
+    from leavitt.serialize import analyze_report
+
+    from conftest import forks
+
+    g = forks(4)
+    lat = enumerate_pairs(g)
+    calls = []
+    original = lattice._quotient_facts
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (lattice, ideals):
+        monkeypatch.setattr(module, "_quotient_facts", counted)
+    analyze_report("forks4", g, QQ, lat)
+    assert 0 < len(calls) <= 2 * len(lat._birkhoff[0]), len(calls)
 
 
 def test_maximal_list_makes_no_per_pair_maximality_test(monkeypatch, named):
