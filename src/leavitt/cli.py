@@ -78,6 +78,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
+    if args.n is not None and args.op != "power":
+        raise LeavittError("the n argument is only for the power op")
     g, field = load_graph(args.path, args.field)
     I = parse_ideal_literal(g, field, args.literal)
     if args.op in LATTICE_OPS:

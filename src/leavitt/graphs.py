@@ -10,7 +10,8 @@ The module also holds the path-level decision procedures: vertex
 classification, reachability, downward directedness, exitless cycles,
 Condition (L) and Condition (K).  Each graph keeps its vertex bitmasks
 (vertex i of the sorted vertex tuple is bit ``1 << i``): successor masks,
-built with the vertex classes, and reach masks, built on first use; the
+built with the vertex classes; reach and co-reach masks, built together on
+first use; and the order in which saturation can add vertices.  The
 lattice layer and the strong components of Condition (K) read them.
 """
 
@@ -132,8 +133,8 @@ class Graph:
     """Immutable directed multigraph over string vertex identifiers."""
 
     __slots__ = (
-        "vertices", "bundles", "_out", "_bits", "_reach_masks", "_pairs",
-        "_quotient_table", "_condition_K",
+        "vertices", "bundles", "_out", "_bits", "_reach_masks", "_coreach_masks",
+        "_saturation", "_pairs", "_quotient_table", "_condition_K",
     )
 
     def __init__(self, vertices: Iterable[str], bundles: Mapping[Tuple[str, str], Multiplicity]):
@@ -160,6 +161,8 @@ class Graph:
         self._out = out
         self._bits = None  # vertex bitmasks, built on first use (see _bits)
         self._reach_masks = None  # per-vertex reach bitmasks, likewise (see _reach)
+        self._coreach_masks = None  # per-vertex co-reach bitmasks, built with them
+        self._saturation = None  # the vertices saturation can add, in order (see _saturation_order)
         self._pairs = {}  # (H, S) name tuples -> validated (h, s) masks, kept by the lattice module
         self._quotient_table = None  # per-graph quotient facts, built by the lattice module
         self._condition_K = None  # the Condition (K) report, decided on first use
@@ -254,11 +257,44 @@ def _bits(g: Graph):
 
 
 def _reach(g: Graph) -> Tuple[int, ...]:
-    """``reach[i]``, the mask of what vertex i reaches, itself included; kept on g."""
+    """``reach[i]``, the mask of what vertex i reaches, itself included; kept on g.
+
+    The co-reach masks (:func:`_coreach`) are built in the same step.
+    """
     if g._reach_masks is None:
         succ = _bits(g)[1]
-        g._reach_masks = tuple(_reach_mask(succ, i) for i in range(len(succ)))
+        reach = tuple(_reach_mask(succ, i) for i in range(len(succ)))
+        coreach = [0] * len(reach)
+        for j, r in enumerate(reach):
+            for i in _ones(r):
+                coreach[i] |= 1 << j
+        g._reach_masks, g._coreach_masks = reach, tuple(coreach)
     return g._reach_masks
+
+
+def _coreach(g: Graph) -> Tuple[int, ...]:
+    """``coreach[i]``, the mask of the vertices that reach vertex i, itself included; kept on g."""
+    if g._coreach_masks is None:
+        _reach(g)
+    return g._coreach_masks
+
+
+def _saturation_order(g: Graph) -> Tuple[Tuple[int, int], ...]:
+    """``(1 << i, succ[i])`` for each regular vertex i on no cycle, by reach size; kept on g.
+
+    Saturating a hereditary set adds only such vertices: a vertex on a cycle
+    outside a hereditary H has its successor on the cycle outside H too.
+    What a successor of an acyclic vertex reaches is a proper part of what
+    the vertex reaches, so in this order each vertex comes after its
+    successors, and one pass saturates a hereditary set.
+    """
+    if g._saturation is None:
+        _, succ, regular, _ = _bits(g)
+        reach, coreach = _reach(g), _coreach(g)
+        acyclic = [i for i in regular if not succ[i] & coreach[i]]
+        acyclic.sort(key=lambda i: reach[i].bit_count())
+        g._saturation = tuple((1 << i, succ[i]) for i in acyclic)
+    return g._saturation
 
 
 def _ones(m: int) -> Iterator[int]:
@@ -396,8 +432,7 @@ def simple_closed_path_count(g: Graph, v: str) -> int:
 
 def _strong_component(g: Graph, i: int) -> int:
     """Mask of the strongly connected component of vertex i: what i reaches that reaches i back."""
-    reach = _reach(g)
-    return sum(1 << j for j in _ones(reach[i]) if reach[j] >> i & 1)
+    return _reach(g)[i] & _coreach(g)[i]
 
 
 def _closed_path_count(g: Graph, comp: int) -> int:

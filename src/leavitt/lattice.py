@@ -9,17 +9,20 @@ and form a finite distributive lattice.
 The engine works on vertex bitmasks (:func:`leavitt.graphs._bits`).  Names
 become masks at one boundary, :func:`_pair_masks`, which validates a pair and
 memoizes its ``(h, s)`` masks per graph; masks become names in
-:func:`_pair`, for the public API, labels, sort order and JSON.  The
-hereditary saturated sets are listed by Ganter's NextClosure, and meets and
-joins come from closed forms.
+:func:`_pair`, for the public API, labels, sort order and JSON.  A pair is
+a named tuple of its two sorted name tuples.  The hereditary saturated sets
+are listed by Ganter's NextClosure, each closure one pass over the reach
+masks and one over the vertices saturation can add (kept per graph by
+:mod:`leavitt.graphs`), and meets and joins come from closed forms.
 
 Everything else about the order is read from Birkhoff's representation
 (Davey & Priestley, *Introduction to Lattices and Order*, ch. 5), kept once
 per lattice: the join-irreducible pairs J, each pair's down-set D(p) in J,
 and the table from down-sets to pairs.  A pair's upper covers add one
-minimal member of J outside D(p); the graded primes are the
-meet-irreducibles m(j), whose down-sets are J minus the members above j;
-the coatoms are the m(j) for maximal j; the lattice is a chain iff J is.
+minimal member of J outside D(p), and are found by pair index; the graded
+primes are the meet-irreducibles m(j), whose down-sets are J minus the
+members above j; the coatoms are the m(j) for maximal j; the lattice is a
+chain iff J is.
 
 Per-pair quotient facts (downward directedness and exitless cycles) are read
 off the pair's masks, from the terminal strongly connected components of
@@ -32,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import InternalInconsistencyError, LatticeError
-from .graphs import Cycle, Graph, _bits, _ones, _reach, is_finite
+from .graphs import Cycle, Graph, _bits, _coreach, _ones, _reach, _saturation_order, is_finite
 
 VertexSet = frozenset
 
@@ -59,24 +62,21 @@ def _close(g: Graph, m: int) -> int:
     """Least hereditary saturated superset of the vertex mask m.
 
     One pass ORs in what the vertices of m reach, skipping those already
-    reached; then every regular vertex whose edges all end inside is added
-    until none is left.  Such a vertex keeps the set hereditary, so no
-    second reach pass is needed.  Infinite emitters are never forced in by
-    saturation.
+    reached; a second adds each regular vertex whose edges all end inside.
+    Such a vertex keeps the set hereditary, so no further reach pass is
+    needed.  Only the regular vertices on no cycle can be added, and
+    :func:`leavitt.graphs._saturation_order` lists them after their
+    successors, so the second pass reaches the fixpoint.  Infinite emitters
+    are never forced in by saturation.
     """
-    _, succ, regular, _ = _bits(g)
     reach = _reach(g)
     h = 0
     while m:
         h |= reach[(m & -m).bit_length() - 1]
         m &= ~h
-    grew = True
-    while grew:
-        grew = False
-        for i in regular:
-            if not h >> i & 1 and not succ[i] & ~h:
-                h |= 1 << i
-                grew = True
+    for bit, succ in _saturation_order(g):
+        if not h & bit and not succ & ~h:
+            h |= bit
     return h
 
 
@@ -92,11 +92,13 @@ def _vkey(s: Iterable[str]) -> Tuple[str, ...]:
 def _hs_masks(g: Graph) -> List[int]:
     """The masks of all hereditary saturated sets, in lectic order.
 
-    Ganter's NextClosure, one closure per candidate: the next set after A is
-    the first closure of (A below i) + i, for i from the last vertex down,
-    that adds nothing below i.
+    Ganter's NextClosure: the next set after A is the first closure of
+    (A below i) + i, for i from the last vertex down, that adds nothing
+    below i.  The closure holds what i reaches, so a candidate whose i
+    reaches a vertex below i outside A fails without being closed.
     """
     n = len(g.vertices)
+    reach = _reach(g)
     A = _close(g, 0)
     found = [A]
     while True:
@@ -105,6 +107,8 @@ def _hs_masks(g: Graph) -> List[int]:
             if A & bit:
                 continue
             below = bit - 1
+            if reach[i] & below & ~A:
+                continue
             B = _close(g, (A & below) | bit)
             if B & below == A & below:
                 A = B
@@ -140,7 +144,10 @@ def _is_hs(g: Graph, m: int) -> bool:
     """Whether the vertex mask m is hereditary saturated, read off successor masks.
 
     Hereditary: no vertex of m has a successor outside.  Saturated: no
-    regular vertex outside m has all its successors inside.
+    regular vertex outside m has all its successors inside.  Only the
+    successor masks are read, not :func:`leavitt.graphs._saturation_order`,
+    which needs the reach masks: the ``ideal`` ops that never enumerate the
+    lattice validate their pair here and build no reach masks.
     """
     _, succ, regular, _ = _bits(g)
     return not any(succ[i] & ~m for i in _ones(m)) and all(
@@ -154,9 +161,12 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> VertexSet:
     return frozenset(_vertices(g, _breaking_mask(g, h)))
 
 
-@dataclass(frozen=True, order=True)
-class AdmissiblePair:
-    """Canonical (H, S): both parts stored as sorted tuples without repeats."""
+class AdmissiblePair(NamedTuple):
+    """Canonical (H, S): both parts stored as sorted tuples without repeats.
+
+    A named tuple, so a pair hashes, compares and sorts as the plain tuple
+    ``(h, s)``, and compares equal to it.
+    """
 
     h: Tuple[str, ...]
     s: Tuple[str, ...]
@@ -180,8 +190,7 @@ def _pair_masks(g: Graph, p: AdmissiblePair) -> Tuple[int, int]:
     is not a subset of B_H (an unknown vertex of S included), raises
     :class:`LatticeError`, in that order.
     """
-    key = p.h, p.s  # a plain tuple hashes and compares without Python-level calls
-    hit = g._pairs.get(key)
+    hit = g._pairs.get(p)
     if hit is None:
         h = _mask(g, p.h)
         if not _is_hs(g, h):
@@ -195,7 +204,7 @@ def _pair_masks(g: Graph, p: AdmissiblePair) -> Tuple[int, int]:
                     f"S={list(p.s)} is not a subset of B_H={list(_vertices(g, bh))}"
                 )
             s |= 1 << i
-        hit = g._pairs[key] = (h, s)
+        hit = g._pairs[p] = (h, s)
     return hit
 
 
@@ -237,13 +246,11 @@ class PairLattice:
     def __init__(self, graph: Graph, pairs: List[AdmissiblePair], masks: List[Tuple[int, int]]):
         """``masks`` holds the ``(h, s)`` masks of ``pairs``, in the same order."""
         self.graph = graph
-        # the dataclass order, on plain tuples
-        order = sorted(range(len(pairs)), key=lambda i: (pairs[i].h, pairs[i].s))
+        order = sorted(range(len(pairs)), key=pairs.__getitem__)
         self.pairs = tuple(pairs[i] for i in order)
         self._masks = tuple(masks[i] for i in order)
         self._index = {p: i for i, p in enumerate(self.pairs)}
         self._at = {m: i for i, m in enumerate(self._masks)}
-        self._covers: Dict[int, Tuple[AdmissiblePair, ...]] = {}
         self._prime_flags: Optional[Dict[AdmissiblePair, bool]] = None  # see ideals._graded_prime_flags
 
     def __len__(self):
@@ -365,24 +372,27 @@ class PairLattice:
         """D(p), the join-irreducibles below p, as a mask over the indices of J."""
         return self._birkhoff[2][self.index(p)]
 
-    def upper_covers(self, p: AdmissiblePair) -> Tuple[AdmissiblePair, ...]:
-        """The pairs covering p, in lattice order.
+    def cover_indices(self, i: int) -> List[int]:
+        """The indices of the pairs covering pair i, ascending.
 
-        They are the pairs with down-set D(p) + j, for each j outside D(p)
-        whose lower set in J lies in D(p).  Found on first request, per pair.
+        With D the down-set of pair i, they are the pairs with down-set
+        D + j, for each j outside D whose lower set in J lies in D.
         """
-        i = self.index(p)
-        hit = self._covers.get(i)
-        if hit is None:
-            J, below, downs, _ = self._birkhoff
-            d = downs[i]
-            found = [
-                self._with_down(d | 1 << j, lambda: f"a cover of {p}")
-                for j in _ones(((1 << len(J)) - 1) & ~d)
-                if not below[j] & ~d
-            ]
-            hit = self._covers[i] = tuple(self.pairs[c] for c in sorted(found))
-        return hit
+        _, below, downs, table = self._birkhoff
+        d = downs[i]
+        found = []
+        for j, b in enumerate(below):
+            if not d >> j & 1 and not b & ~d:
+                c = table.get(d | 1 << j)
+                if c is None:
+                    c = self._with_down(d | 1 << j, lambda: f"a cover of {self.pairs[i]}")
+                found.append(c)
+        found.sort()
+        return found
+
+    def upper_covers(self, p: AdmissiblePair) -> Tuple[AdmissiblePair, ...]:
+        """The pairs covering p, in lattice order (:meth:`cover_indices`)."""
+        return tuple(self.pairs[c] for c in self.cover_indices(self.index(p)))
 
     @cached_property
     def meet_irreducibles(self) -> Tuple[int, ...]:
@@ -411,8 +421,8 @@ class PairLattice:
         return tuple(self.pairs[i] for i in sorted(self.meet_irreducibles))
 
     @cached_property
-    def maximal_graded(self) -> Tuple[AdmissiblePair, ...]:
-        """The pairs of the maximal graded ideals, in lattice order.
+    def maximal_indices(self) -> Tuple[int, ...]:
+        """The pair indices of the maximal graded ideals, ascending.
 
         A maximal graded ideal is a coatom whose quotient has no exitless
         cycle, so that no non-graded ideal fits above it.  The coatoms are
@@ -421,13 +431,15 @@ class PairLattice:
         not_maximal = 0
         for b in self._birkhoff[1]:
             not_maximal |= b
-        return tuple(
-            self.pairs[i]
-            for i in sorted(
-                i for j, i in enumerate(self.meet_irreducibles)
-                if not not_maximal >> j & 1 and not self.quotient_facts(i)[1]
-            )
-        )
+        return tuple(sorted(
+            i for j, i in enumerate(self.meet_irreducibles)
+            if not not_maximal >> j & 1 and not self.quotient_facts(i)[1]
+        ))
+
+    @cached_property
+    def maximal_graded(self) -> Tuple[AdmissiblePair, ...]:
+        """The pairs of the maximal graded ideals, in lattice order."""
+        return tuple(self.pairs[i] for i in self.maximal_indices)
 
     @cached_property
     def is_chain(self) -> bool:
@@ -455,7 +467,7 @@ class PairLattice:
         candidate pair of a prime that pins a cycle through v.
         """
         g = self.graph
-        h = ((1 << len(g.vertices)) - 1) & ~_quotient_table(g)[0][_bits(g)[0][v]]
+        h = ((1 << len(g.vertices)) - 1) & ~_coreach(g)[_bits(g)[0][v]]
         return self._member((h, _breaking_mask(g, h)), lambda: f"the pair avoiding {v}")
 
 
@@ -518,23 +530,18 @@ def _meet_masks(g: Graph, a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, 
 
 
 def _quotient_table(g: Graph):
-    """``(coreach, ones, per_h, cycles)`` for g, computed once and kept on it.
+    """``(ones, per_h, cycles)`` for g, computed once and kept on it.
 
-    ``coreach[i]`` is the mask of the vertices that reach vertex i, and
-    ``ones[i]`` the mask of the targets of i's bundles of multiplicity 1;
+    ``ones[i]`` is the mask of the targets of i's bundles of multiplicity 1;
     ``per_h`` memoizes :func:`_h_facts` per hereditary saturated mask and
     ``cycles`` the :class:`Cycle` on each vertex mask, so each is built once.
     """
     if g._quotient_table is None:
-        index, reach = _bits(g)[0], _reach(g)
-        coreach = [0] * len(reach)
-        for j, r in enumerate(reach):
-            for i in _ones(r):
-                coreach[i] |= 1 << j
+        index = _bits(g)[0]
         ones = tuple(
             sum(1 << index[w] for w, m in g.out_bundles(v) if m == 1) for v in g.vertices
         )
-        g._quotient_table = (tuple(coreach), ones, {}, {})
+        g._quotient_table = (ones, {}, {})
     return g._quotient_table
 
 
@@ -550,10 +557,10 @@ def _h_facts(g: Graph, h: int):
     every vertex has exactly one edge, of multiplicity 1, outside H.
     ``breaking`` is :func:`_breaking_mask` of h.
     """
-    coreach, ones, per_h, made = _quotient_table(g)
+    ones, per_h, made = _quotient_table(g)
     facts = per_h.get(h)
     if facts is None:
-        succ, reach = _bits(g)[1], _reach(g)
+        succ, reach, coreach = _bits(g)[1], _reach(g), _coreach(g)
 
         def single(out, ones_j):  # one edge, of multiplicity 1
             return out and not out & (out - 1) and not out & ~ones_j

@@ -230,37 +230,45 @@ def analyze_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _flag_indices(g: Graph, lattice: PairLattice) -> Tuple[set, set]:
+    """The pair indices of the graded primes and of the maximal graded ideals."""
+    theorems.graded_primes(g, lattice)  # the directedness cross-check of the primes
+    return set(lattice.meet_irreducibles), set(lattice.maximal_indices)
+
+
 def lattice_dot(g: Graph, lattice: PairLattice) -> str:
-    """DOT Hasse diagram: primes double-circled, maximal ideals filled."""
-    primes = set(theorems.graded_primes(g, lattice))
-    maximals = set(lattice.maximal_graded)
+    """DOT Hasse diagram: primes double-circled, maximal ideals filled.
+
+    The edges ``lower -> upper`` are sorted by (upper, lower).
+    """
+    primes, maximals = _flag_indices(g, lattice)
     lines = ["digraph admissible_pairs {", "  rankdir=BT;", '  node [shape=ellipse];']
+    below = [[] for _ in lattice.pairs]
     for i, p in enumerate(lattice.pairs):
         attrs = [f'label="{p.label()}"']
-        if p in primes:
+        if i in primes:
             attrs.append("peripheries=2")
-        if p in maximals:
+        if i in maximals:
             attrs.append('style=filled fillcolor=lightgray')
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    edges = sorted(
-        (lattice.index(q), i) for i, p in enumerate(lattice.pairs) for q in lattice.upper_covers(p)
-    )
-    lines.extend(f"  n{i} -> n{j};" for j, i in edges)
+        for c in lattice.cover_indices(i):
+            below[c].append(i)
+    lines.extend(f"  n{i} -> n{j};" for j, lows in enumerate(below) for i in lows)
     lines.append("}")
     return "\n".join(lines)
 
 
 def lattice_text(g: Graph, lattice: PairLattice) -> str:
-    primes = set(theorems.graded_primes(g, lattice))
-    maximals = set(lattice.maximal_graded)
+    primes, maximals = _flag_indices(g, lattice)
+    top = lattice.index(lattice.top)
     lines = [f"admissible pairs: {len(lattice)}"]
-    for p in lattice.pairs:
+    for i, p in enumerate(lattice.pairs):
         flags = []
-        if p == lattice.top:
+        if i == top:
             flags.append("top")
-        if p in primes:
+        if i in primes:
             flags.append("prime")
-        if p in maximals:
+        if i in maximals:
             flags.append("maximal")
         suffix = f"  [{', '.join(flags)}]" if flags else ""
         lines.append(f"  {p.label()}{suffix}")

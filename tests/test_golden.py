@@ -89,6 +89,12 @@ MALFORMED_LITERALS = [
     ("B1", '{"H":"ab","S":[]}'),
 ]
 
+# An exponent given to an op other than power: rejected with exit code 2.
+STRAY_EXPONENTS = [
+    ("T1", '{"H":["w"],"S":[]}', "gr", "3"),
+    ("T1", '{"H":["w"],"S":[]}', "limit", "2"),
+]
+
 
 def _literal(H, S, components=()):
     comps = [{"cycle": list(c), "poly": p} for c, p in components]
@@ -137,6 +143,8 @@ def cases():
         out += [([cmd[0], "-"] + cmd[1:], text) for cmd in REPORTS]
     for name, lit in MALFORMED_LITERALS:
         out.append((["ideal", f"demos/graphs/{name}.json", lit, "gr"], None))
+    for name, lit, op, n in STRAY_EXPONENTS:
+        out.append((["ideal", f"demos/graphs/{name}.json", lit, op, n], None))
     return out
 
 

@@ -21,7 +21,7 @@ from leavitt.lattice import (
     top_pair,
 )
 from leavitt.ideals import _graded_prime_flags
-from leavitt.oracles import SearchLattice, le
+from leavitt.oracles import SearchLattice, brute_hs, le
 
 from conftest import forks, lattice_of, random_graph
 
@@ -35,6 +35,42 @@ def test_closure(named):
     assert hereditary_saturated_closure(named["A3"], {"u2"}) == {"u0", "u1", "u2"}
     for g in named.values():
         assert hereditary_saturated_closure(g, ()) == frozenset()
+
+
+def _acyclic_regular_graph(rng: random.Random) -> Graph:
+    """A seeded graph whose regular vertices mostly lie on no cycle.
+
+    A hidden topological order, shuffled against the sorted vertex names,
+    carries chains and diamonds of finite bundles; a few vertices get a loop
+    or an infinite bundle.  Saturation then adds long runs of vertices one
+    after another.
+    """
+    n = rng.randint(6, 12)
+    names = [f"x{i:02d}" for i in range(n)]
+    rng.shuffle(names)
+    bundles = {}
+    for i in range(n - 1):
+        bundles[(names[i], names[i + 1])] = 1  # the chain
+        if i + 2 < n and rng.random() < 0.4:  # a diamond over i+1
+            bundles[(names[i], names[i + 2])] = rng.choice([1, 2])
+    for v in rng.sample(names, 2):
+        bundles[(v, v) if rng.random() < 0.5 else (v, rng.choice(names))] = rng.choice([1, OMEGA])
+    return Graph(names, bundles)
+
+
+def test_closure_is_the_least_brute_force_hs_superset(corpus):
+    rng = random.Random(20261020)
+    graphs = corpus + [_acyclic_regular_graph(rng) for _ in range(60)]
+    for g in graphs:
+        family = brute_hs(g)
+        hs = set(family)
+        tests = [{v} for v in g.vertices] + [
+            set(rng.sample(g.vertices, rng.randint(0, len(g.vertices)))) for _ in range(3)
+        ]
+        for X in tests:
+            want = frozenset(g.vertices).intersection(*(H for H in family if X <= H))
+            assert hereditary_saturated_closure(g, X) == want, (dict(g.bundles), X)
+            assert lattice._is_hs(g, lattice._mask(g, X)) == (X in hs), (dict(g.bundles), X)
 
 
 def test_enumerate_hs_small_graphs(named):
@@ -52,6 +88,19 @@ def test_enumerate_hs_forks_is_fast():
     hs = enumerate_hs(g)
     assert time.process_time() - start < 1.0
     assert len(hs) == 5**k == len(set(hs))
+
+
+def test_admissible_pair_is_the_tuple_h_s():
+    p = AdmissiblePair.of(["b", "a", "b"], {"u"})
+    assert p == AdmissiblePair(("a", "b"), ("u",)) == (("a", "b"), ("u",))
+    assert p.h == ("a", "b") and p.s == ("u",)
+    assert repr(p) == str(p) == p.label() == "({a,b}, {u})"
+    assert repr(bottom_pair()) == "({}, {})"
+    assert hash(p) == hash((p.h, p.s))
+    pairs = enumerate_pairs(forks(2)).pairs
+    shuffled = list(pairs)
+    random.Random(3).shuffle(shuffled)
+    assert tuple(sorted(shuffled)) == pairs
 
 
 def test_cover_outside_the_lattice_is_an_inconsistency(named):
@@ -74,8 +123,10 @@ def test_covers_and_prime_flags_match_search_lattice():
         g = _sparse_graph(rng, 8) if n % 2 else random_graph(rng, 8)
         lat = enumerate_pairs(g)
         ref = SearchLattice(lat)
-        for p in lat.pairs:
-            assert lat.upper_covers(p) == ref.upper_covers(p), (dict(g.bundles), p)
+        for i, p in enumerate(lat.pairs):
+            want = ref.upper_covers(p)
+            assert lat.upper_covers(p) == want, (dict(g.bundles), p)
+            assert tuple(lat.pairs[c] for c in lat.cover_indices(i)) == want, (dict(g.bundles), p)
         assert _graded_prime_flags(g, lat) == ref.prime_flags(), dict(g.bundles)
 
 

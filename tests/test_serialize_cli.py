@@ -195,6 +195,9 @@ def test_cli_error_exit_codes(graph_files, tmp_path, capsys):
     assert rc == 2
     rc, _, err = run_cli(capsys, "ideal", graph_files["T1"], A_LITERAL, "power")
     assert rc == 2 and "exponent" in err
+    for op in ("gr", "limit", "krull", "factor"):
+        rc, out, err = run_cli(capsys, "ideal", graph_files["T1"], A_LITERAL, op, "3")
+        assert rc == 2 and out == "" and "only for the power op" in err
     # a component cycle with an exit is a validation error
     bad_ideal = '{"H":[],"S":[],"components":[{"cycle":["v"],"poly":"1+x"}]}'
     rc, _, err = run_cli(capsys, "ideal", graph_files["T1"], bad_ideal, "gr")
@@ -251,6 +254,20 @@ def test_cli_reports_build_no_quotient_graph(forks3_file, capsys, monkeypatch):
         built.clear()
         rc, _, _ = run_cli(capsys, *argv)
         assert rc == 0 and len(built) == 1, argv  # the loaded graph only
+
+
+def test_lattice_dot_reads_covers_and_flags_by_index(monkeypatch):
+    from leavitt.lattice import PairLattice, enumerate_pairs
+    from leavitt.serialize import lattice_dot
+
+    def boom(*args, **kwargs):
+        raise AssertionError("lattice_dot looked a pair up")
+
+    lat = enumerate_pairs(forks(3))
+    monkeypatch.setattr(PairLattice, "index", boom)
+    monkeypatch.setattr(PairLattice, "upper_covers", boom)
+    dot = lattice_dot(lat.graph, lat)
+    assert dot.count(" -> ") == 3 * 6**2 * 7  # each fork's six pairs have seven cover edges
 
 
 def test_cli_memos_make_no_reference_cycles(forks3_file, capsys):
